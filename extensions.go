@@ -73,8 +73,9 @@ func (mo *Monitor) Results(id StandingQueryID) ([]TransitionID, error) {
 }
 
 // Add indexes a new transition and returns the standing-query deltas.
-// Each arriving transition costs two rank checks per standing query,
-// independent of the transition set size.
+// Each arriving transition costs two route-tree probes per distinct k
+// among the standing queries and two distance compares per standing
+// query, independent of the transition set size.
 func (mo *Monitor) Add(t Transition) ([]MonitorEvent, error) { return mo.m.Add(t) }
 
 // Remove drops a transition and returns the standing-query deltas.

@@ -457,7 +457,7 @@ func batchVerifyChunk(x *index.Index, tree *rtree.Tree, pairs []verifyPair, opts
 				if p.done {
 					continue
 				}
-				if md := rect.MaxDist(p.pt); md*md < p.dq2 {
+				if rect.MaxDist2(p.pt) < p.dq2 {
 					// Wholesale credit: every point under n is strictly
 					// closer than the query for this pair.
 					x.NListEach(f.n, func(id model.RouteID) bool {

@@ -18,6 +18,27 @@
 // exactly this definition; the property tests in this package assert that
 // every method returns identical results.
 //
+// # The rank radius
+//
+// Sort the routes by distance from t and let r²_k(t) be the squared
+// distance to the k-th (RankRadius2; +Inf with fewer than k routes).
+// Fewer than k routes are strictly closer than Q exactly when the k-th
+// nearest is not:
+//
+//	rank(t, Q) < k  ⇔  dist²(t, Q) <= r²_k(t)
+//
+// The right-hand side depends on Q through one distance only, so one
+// RR-tree probe per endpoint serves every query at that k — the basis of
+// incremental maintenance in internal/serve and internal/monitor. The
+// equivalence is exact in floating point, ties included: both sides are
+// minima of Point.Dist2 values, the same numbers the brute force
+// compares, and every bound the traversals prune or credit with
+// (Rect.MinDist2, Rect.MaxDist2) is a sum of squares that no Dist2 to a
+// point inside the rectangle can cross. A query stop shared with a data
+// route, where dist(t, Q) = dist(t, R) bit for bit, therefore decides the
+// same way in BruteForce, TakesQueryAsKNN, RankRadius2 and the batch
+// verifier: the tied route is not strictly closer.
+//
 // # Determinism
 //
 // Results are returned as sorted transition IDs and depend only on the

@@ -122,7 +122,7 @@ func endpointIsResult(x *index.Index, tree *rtree.Tree, query []geo.Point, t geo
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if useNList {
-			if md := tree.Rect(n).MaxDist(t); md*md < dq2 {
+			if tree.Rect(n).MaxDist2(t) < dq2 {
 				// Every point under n is strictly closer than the query:
 				// credit all routes below without descending.
 				done := false
@@ -179,7 +179,7 @@ func endpointIsResultScalar(x *index.Index, tree *rtree.Tree, query []geo.Point,
 		if rect.MinDist2(t) >= dq2 {
 			continue
 		}
-		if md := rect.MaxDist(t); useNList && md*md < dq2 {
+		if useNList && rect.MaxDist2(t) < dq2 {
 			done := false
 			x.NListEach(n, func(id model.RouteID) bool {
 				closer[id] = struct{}{}
@@ -213,9 +213,9 @@ func endpointIsResultScalar(x *index.Index, tree *rtree.Tree, query []geo.Point,
 // TakesQueryAsKNN reports whether the point t takes the query route as one
 // of its k nearest routes: fewer than k distinct routes are strictly
 // closer to t than the query (the rank semantics of this package). It is
-// the single-endpoint primitive behind incremental result maintenance:
-// checking one arriving transition costs two such calls, independent of
-// the transition set size.
+// the single-check primitive: one RR-tree probe bounded by dist(t, Q).
+// Callers that test one endpoint against many queries use RankRadius2,
+// which decides identically from one probe.
 func TakesQueryAsKNN(x *index.Index, query []geo.Point, t geo.Point, k int) bool {
 	return endpointIsResult(x, x.RouteTree(), query, t, k, true, false)
 }

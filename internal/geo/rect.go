@@ -133,11 +133,17 @@ func (r Rect) MinDist2(p Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// MaxDist returns the maximum Euclidean distance from p to any point of r.
-func (r Rect) MaxDist(p Point) float64 {
+// MaxDist2 returns the squared maximum Euclidean distance from p to any
+// point of r. It is computed without a square root: it equals Point.Dist2
+// to the farthest corner bit for bit and is never below Dist2 to any
+// point of r, so squared-distance comparisons against it decide ties the
+// way point-to-point comparisons do. (A square-rooted MaxDist, squared
+// again by the caller, can land one ulp under the exact value and turn a
+// tie into "strictly closer"; there is deliberately no such method.)
+func (r Rect) MaxDist2(p Point) float64 {
 	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
 	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
+	return dx*dx + dy*dy
 }
 
 // MinDistRoute returns min over q in route of MinDist(q, r): the MINDIST

@@ -112,19 +112,33 @@ func TestRectMinDistIsLowerBound(t *testing.T) {
 	}
 }
 
-func TestRectMaxDistIsUpperBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+// TestRectMaxDist2Exact pins the property tie-sensitive callers rely on:
+// MaxDist2 is an upper bound on Dist2 with no tolerance at all, and it is
+// attained, bit for bit, at a corner.
+func TestRectMaxDist2Exact(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 500; i++ {
 		r := randRect(rng)
 		q := randPoint(rng)
-		xd := r.MaxDist(q)
+		xd2 := r.MaxDist2(q)
+		attained := false
+		for _, c := range r.Corners() {
+			d2 := c.Dist2(q)
+			if d2 > xd2 {
+				t.Fatalf("corner %v at %v beyond MaxDist2 %v", c, d2, xd2)
+			}
+			attained = attained || d2 == xd2
+		}
+		if !attained {
+			t.Fatalf("MaxDist2 %v of %v from %v attained at no corner", xd2, r, q)
+		}
 		for j := 0; j < 50; j++ {
 			inside := Pt(
 				r.Min.X+rng.Float64()*(r.Max.X-r.Min.X),
 				r.Min.Y+rng.Float64()*(r.Max.Y-r.Min.Y),
 			)
-			if q.Dist(inside) > xd+1e-9 {
-				t.Fatalf("MaxDist %v not an upper bound", xd)
+			if d2 := inside.Dist2(q); d2 > xd2 {
+				t.Fatalf("inner point %v at %v beyond MaxDist2 %v", inside, d2, xd2)
 			}
 		}
 	}

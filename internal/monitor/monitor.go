@@ -5,10 +5,14 @@
 // answers") turned into an API, in the spirit of the continuous reverse-NN
 // monitoring line of work the paper cites (Cheema et al.).
 //
-// A full RkNNT query runs once at registration; afterwards each arriving
-// transition costs two rank checks (one per endpoint) against the RR-tree
-// — no recomputation over the transition set, whose size therefore does
-// not affect update cost.
+// A full RkNNT query runs once at registration. Afterwards each arriving
+// transition costs two RR-tree probes per distinct k among the standing
+// queries — core.RankRadius2, the squared distance from an endpoint to
+// its k-th nearest route, which does not depend on any query — and then
+// one point-route distance and one compare per endpoint per standing
+// query (an endpoint takes Q as a kNN iff PointRouteDist2(t, Q) <=
+// r²_k(t), see package core). Neither the transition set size nor the
+// number of standing queries adds tree probes.
 package monitor
 
 import (
@@ -54,9 +58,9 @@ type Metrics struct {
 	// Unregister calls.
 	StandingAdds    *obs.Counter
 	StandingRemoves *obs.Counter
-	// RankChecks counts endpoint rank probes (TakesQueryAsKNN calls)
-	// performed for arriving transitions — the monitor's incremental
-	// cost unit.
+	// RankChecks counts RR-tree probes (core.RankRadius2 calls) performed
+	// for arriving transitions: two per transition per distinct standing
+	// k. The per-query distance compares that follow are not counted.
 	RankChecks *obs.Counter
 	// ResultAdds / ResultRemoves count transitions entering / leaving
 	// standing result sets.
@@ -177,18 +181,20 @@ func (m *Monitor) ApplyAdds(ts []model.Transition, errs []error) []Event {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var events []Event
+	var byK []kRadii
 	for i := range ts {
 		if errs != nil && errs[i] != nil {
 			continue
 		}
-		t := ts[i]
+		t := &ts[i]
+		byK = byK[:0]
 		for _, st := range m.queries {
-			m.metrics.RankChecks.Add(2)
+			r := m.radii(&byK, t, st.k)
 			mask := uint8(0)
-			if core.TakesQueryAsKNN(m.x, st.query, t.O, st.k) {
+			if geo.PointRouteDist2(t.O, st.query) <= r.ro2 {
 				mask |= 1
 			}
-			if core.TakesQueryAsKNN(m.x, st.query, t.D, st.k) {
+			if geo.PointRouteDist2(t.D, st.query) <= r.rd2 {
 				mask |= 2
 			}
 			if mask != 0 {
@@ -202,6 +208,28 @@ func (m *Monitor) ApplyAdds(ts []model.Transition, errs []error) []Event {
 		}
 	}
 	return events
+}
+
+// kRadii is the squared rank radii of one arriving transition's
+// endpoints at one k.
+type kRadii struct {
+	k        int
+	ro2, rd2 float64
+}
+
+// radii returns t's rank radii at k from byK, probing the RR-tree the
+// first time k comes up for t. Standing queries share few distinct k
+// values, so a slice scan beats a map.
+func (m *Monitor) radii(byK *[]kRadii, t *model.Transition, k int) kRadii {
+	for _, r := range *byK {
+		if r.k == k {
+			return r
+		}
+	}
+	m.metrics.RankChecks.Add(2)
+	r := kRadii{k, core.RankRadius2(m.x, t.O, k), core.RankRadius2(m.x, t.D, k)}
+	*byK = append(*byK, r)
+	return r
 }
 
 // Remove drops a transition and updates every standing query, returning

@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/index"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 func buildCity(t testing.TB, seed int64, nTrans int) (*gen.City, *index.Index) {
@@ -270,5 +273,125 @@ func TestMultipleStandingQueries(t *testing.T) {
 	}
 	for _, q := range sqs {
 		assertConsistent(t, m, x, q.id, q.query, q.k, q.sem)
+	}
+}
+
+// sortEvents orders events for comparison: ApplyAdds walks its standing
+// queries in map order.
+func sortEvents(evs []Event) {
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].Transition != evs[j].Transition {
+			return evs[i].Transition < evs[j].Transition
+		}
+		return evs[i].Query < evs[j].Query
+	})
+}
+
+// TestApplyAddsRankRadiusMatchesPerQueryProbe is the differential for the shared
+// rank radii: with standing queries of mixed k under both semantics, the
+// events ApplyAdds emits for a committed batch are exactly those of the
+// reference that rank-probes the RR-tree once per (endpoint, standing
+// query) with core.TakesQueryAsKNN — arrivals on route stops, where the
+// query distance ties a route's, included — and the tree probes it
+// counts depend on the distinct k values only.
+func TestApplyAddsRankRadiusMatchesPerQueryProbe(t *testing.T) {
+	c, x := buildCity(t, 21, 150)
+	m := New(x)
+	probes := obs.NewRegistry().Counter("probes", "")
+	m.SetMetrics(Metrics{RankChecks: probes})
+	rng := rand.New(rand.NewSource(22))
+	type sq struct {
+		id    QueryID
+		query []geo.Point
+		k     int
+		sem   core.Semantics
+	}
+	var sqs []sq
+	ks := []int{1, 3, 3, 5, 5, 5, 40} // 40 > #routes: every endpoint qualifies
+	for i := 0; i < 14; i++ {
+		query := c.Query(rng, 2+rng.Intn(3), 2)
+		sem := core.Semantics(i % 2)
+		k := ks[i%len(ks)]
+		id, _, err := m.Register(query, k, sem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sqs = append(sqs, sq{id, query, k, sem})
+	}
+	var stops []geo.Point
+	x.Routes(func(r *model.Route) bool {
+		stops = append(stops, r.Pts...)
+		return true
+	})
+	endpoint := func() geo.Point {
+		if rng.Intn(3) == 0 {
+			return stops[rng.Intn(len(stops))]
+		}
+		return geo.Pt(rng.Float64()*18, rng.Float64()*18)
+	}
+	for round := 0; round < 10; round++ {
+		ts := make([]model.Transition, 8)
+		for i := range ts {
+			ts[i] = model.Transition{ID: model.TransitionID(30000 + round*8 + i), O: endpoint(), D: endpoint()}
+		}
+		ts[3].ID = ts[2].ID // rejected as a duplicate: must produce nothing
+		errs := x.AddTransitionsBatch(ts)
+		if errs[3] == nil {
+			t.Fatal("duplicate ID was indexed")
+		}
+		before := probes.Load()
+		got := m.ApplyAdds(ts, errs)
+		if n := probes.Load() - before; n != 7*2*4 {
+			t.Fatalf("round %d: %d tree probes for 7 arrivals and 4 distinct k, want %d", round, n, 7*2*4)
+		}
+		var want []Event
+		for i, tr := range ts {
+			if errs[i] != nil {
+				continue
+			}
+			for _, q := range sqs {
+				o := core.TakesQueryAsKNN(x, q.query, tr.O, q.k)
+				d := core.TakesQueryAsKNN(x, q.query, tr.D, q.k)
+				if (q.sem == core.ForAll && o && d) || (q.sem == core.Exists && (o || d)) {
+					want = append(want, Event{Query: q.id, Transition: tr.ID, Added: true})
+				}
+			}
+		}
+		sortEvents(got)
+		sortEvents(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: ApplyAdds events %v, per-query probes give %v", round, got, want)
+		}
+	}
+	for _, q := range sqs {
+		assertConsistent(t, m, x, q.id, q.query, q.k, q.sem)
+	}
+}
+
+// BenchmarkMonitorApplyAdds times standing-query maintenance for one
+// committed arrival with 64 standing queries registered at one k: two
+// tree probes, then 64 pairs of distance compares.
+func BenchmarkMonitorApplyAdds(b *testing.B) {
+	c, x := buildCity(b, 31, 2000)
+	m := New(x)
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < 64; i++ {
+		if _, _, err := m.Register(c.Query(rng, 3, 2), 10, core.Exists); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ts := make([]model.Transition, 256)
+	for i := range ts {
+		ts[i] = model.Transition{
+			ID: model.TransitionID(50000 + i),
+			O:  geo.Pt(rng.Float64()*18, rng.Float64()*18),
+			D:  geo.Pt(rng.Float64()*18, rng.Float64()*18),
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// ApplyAdds does no index writes, so replaying one arrival is
+		// the same work every iteration.
+		m.ApplyAdds(ts[i%len(ts):i%len(ts)+1], nil)
 	}
 }

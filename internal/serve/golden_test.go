@@ -23,6 +23,7 @@ import (
 	"repro/internal/dataio"
 	"repro/internal/geo"
 	"repro/internal/graph"
+	"repro/internal/index"
 	"repro/internal/model"
 )
 
@@ -40,10 +41,15 @@ var goldenFiles = []string{
 // buildGoldenChain replays the fixed op script into dir and returns the
 // path of the chain base. Engine writes are synchronous (one op per
 // write batch), so the epoch vectors — and therefore every byte of the
-// chain — are deterministic.
+// chain — are deterministic. The shard count is pinned: the default
+// follows GOMAXPROCS, and the committed bytes hold one shard.
 func buildGoldenChain(t *testing.T, dir string) string {
 	t.Helper()
-	city, x := smallCity(t)
+	city, _ := smallCity(t)
+	x, err := index.BuildOpts(city.Dataset, index.Options{TRShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	vertexOf := make(map[model.StopID]graph.VertexID)
 	for i := 0; i < city.Graph.NumVertices(); i++ {
 		vertexOf[model.StopID(i)] = graph.VertexID(i)

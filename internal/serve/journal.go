@@ -1,26 +1,34 @@
 package serve
 
 import (
+	"math"
 	"sync"
 
+	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/model"
 )
 
 // Per-shard delta journals.
 //
-// The old engine repaired every cached result inside every write
-// commit: O(cache) rank checks and reallocations per batch, which
-// profiling showed was more than half the total write cost. With one
-// journal per shard, a commit only appends its net delta — O(batch) —
-// and a cached result is repaired lazily at read time, replaying just
-// the batches it missed. Reads that never come back never pay; hot
-// reads replay one or two tiny deltas.
+// A commit only appends its net delta to its shard's journal — O(batch),
+// no cache walk — and a cached result is repaired lazily at read time,
+// replaying just the batches it missed (repair.go). Reads that never
+// come back never pay; hot reads replay one or two tiny deltas.
 //
 // Replay is order-insensitive by construction, so journal batches from
 // different shards need no global ordering: removals splice by ID, and
-// adds are verified against the CURRENT index (liveness + rank check)
+// adds are verified against the CURRENT index (liveness + geometry)
 // rather than trusting historical values — see repair.go for the
 // argument.
+//
+// Each batch also memoises the rank radii of the transitions it added
+// (core.RankRadius2, one pair per k in use). A radius depends on the
+// endpoint, k and the route set, never on the query, so every cached
+// entry that replays the batch shares the one pair of RR-tree probes
+// per added transition that the first of them paid for. Journals are
+// reset on every route change, so a memo never outlives the route set
+// it was computed over.
 
 // journalBatch is the net effect of one committed write batch on one
 // shard, folded in op order.
@@ -28,6 +36,73 @@ type journalBatch struct {
 	epoch   uint64 // the shard epoch this batch advanced TO
 	added   []model.TransitionID
 	removed []model.TransitionID
+	// radii memoises the rank radii of added. It is a pointer so the
+	// copies of the batch that since hands out share one memo; nil when
+	// the batch added nothing.
+	radii *radiusMemo
+}
+
+// addRadii is what a batch remembers about one added transition for one
+// k: the squared rank radii of its endpoints and the geometry they were
+// computed for. A replay trusts the radii only while the live transition
+// still has that geometry — a later remove and re-add of the same ID may
+// have moved it.
+type addRadii struct {
+	o, d     geo.Point
+	ro2, rd2 float64
+}
+
+// radiusMemo holds a batch's radii per k. The k values in use are few
+// (one per distinct cached k), so a slice scan beats a map.
+type radiusMemo struct {
+	mu  sync.Mutex
+	byK []kRadii
+}
+
+type kRadii struct {
+	k     int
+	radii []addRadii // parallel to journalBatch.added; immutable once published
+}
+
+// radiiFor returns the batch's radii for k, probing the RR-tree for them
+// on first use. The caller holds the engine read locks, so the index is
+// quiescent and every concurrent caller would compute the same values;
+// the mutex only makes sure one of them does. A transition that is no
+// longer live gets NaN geometry, which no live transition compares equal
+// to, so a replay that finds the ID live again recomputes.
+func (b *journalBatch) radiiFor(e *Engine, k int) []addRadii {
+	m := b.radii
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.byK {
+		if m.byK[i].k == k {
+			return m.byK[i].radii
+		}
+	}
+	radii := make([]addRadii, len(b.added))
+	nan := geo.Pt(math.NaN(), math.NaN())
+	for i, id := range b.added {
+		t, live := e.idx.TransitionValue(id)
+		if !live {
+			radii[i] = addRadii{o: nan, d: nan}
+			continue
+		}
+		radii[i] = e.probeRadii(&t, k)
+	}
+	m.byK = append(m.byK, kRadii{k: k, radii: radii})
+	return radii
+}
+
+// probeRadii computes the rank radii of both endpoints of t: the two
+// RR-tree probes an arriving transition costs, whatever the number of
+// cached queries.
+func (e *Engine) probeRadii(t *model.Transition, k int) addRadii {
+	e.mx.radiusProbes.Add(2)
+	return addRadii{
+		o: t.O, d: t.D,
+		ro2: core.RankRadius2(e.idx, t.O, k),
+		rd2: core.RankRadius2(e.idx, t.D, k),
+	}
 }
 
 // journalCap is the per-shard retention: a reader further behind than
@@ -50,6 +125,9 @@ type shardJournal struct {
 
 // append records a committed batch that advanced the shard to epoch.
 func (j *shardJournal) append(b journalBatch) {
+	if len(b.added) > 0 {
+		b.radii = new(radiusMemo)
+	}
 	j.mu.Lock()
 	j.batches = append(j.batches, b)
 	j.ops += len(b.added) + len(b.removed)

@@ -31,6 +31,15 @@ type engineMetrics struct {
 	cachePurges  *obs.Counter
 	dedupHits    *obs.Counter
 
+	// Lazy repair (repair.go): journal ops replayed per repaired hit, why
+	// a stale hit was recomputed instead, and the RR-tree radius probes
+	// the journal memos cost.
+	repairReplayOps          *obs.Histogram
+	repairFallbackStructural *obs.Counter
+	repairFallbackJournal    *obs.Counter
+	repairFallbackBudget     *obs.Counter
+	radiusProbes             *obs.Counter
+
 	// Batched query execution (batchexec.go, coalesce.go).
 	batchRequests  *obs.Counter
 	batchQueries   *obs.Counter
@@ -101,6 +110,9 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 		cachePurges:  reg.Counter("rknnt_cache_purges_total", "Full result-cache purges (route changes, oversized deltas)."),
 		dedupHits:    reg.Counter("rknnt_inflight_dedup_total", "Queries served by sharing an identical in-flight execution."),
 
+		repairReplayOps: reg.Histogram("rknnt_repair_replay_ops", "Journal ops (adds checked + removals spliced) replayed per repaired stale cache hit.", 1),
+		radiusProbes:    reg.Counter("rknnt_rank_radius_probes_total", "RR-tree rank-radius probes by lazy cache repair: two per added transition per k in use, memoised in its journal batch and shared by every cached entry that replays it."),
+
 		batchRequests:  reg.Counter("rknnt_batch_requests_total", "RkNNTBatch calls (batch endpoint requests)."),
 		batchQueries:   reg.Counter("rknnt_batch_queries_total", "Queries submitted through RkNNTBatch."),
 		batchExecuted:  reg.Counter("rknnt_batch_executed_total", "Cache-missing queries executed through the shared-traversal batch core."),
@@ -122,7 +134,7 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 		mon: monitor.Metrics{
 			StandingAdds:    reg.Counter("rknnt_standing_adds_total", "Standing queries registered."),
 			StandingRemoves: reg.Counter("rknnt_standing_removes_total", "Standing queries unregistered."),
-			RankChecks:      reg.Counter("rknnt_rank_checks_total", "Endpoint rank probes for arriving transitions (incremental maintenance cost)."),
+			RankChecks:      reg.Counter("rknnt_rank_checks_total", "RR-tree probes by the standing-query monitor for arriving transitions: two rank-radius probes per transition per distinct standing k, independent of the number of standing queries."),
 			ResultAdds:      reg.Counter("rknnt_standing_result_adds_total", "Transitions entering standing result sets."),
 			ResultRemoves:   reg.Counter("rknnt_standing_result_removes_total", "Transitions leaving standing result sets."),
 			Recomputes:      reg.Counter("rknnt_standing_recomputes_total", "Full standing-query recomputations after route changes."),
@@ -134,6 +146,11 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 		candidates:   reg.Counter("rknnt_candidates_total", "Candidate endpoints surviving filtering across executed queries."),
 		results:      reg.Counter("rknnt_results_total", "Transitions returned across executed queries."),
 	}
+
+	rf := reg.CounterVec("rknnt_repair_fallback_total", "Stale cache hits recomputed instead of repaired, by reason (\"structural\": a route change moved the structural epoch, \"journal\": a shard journal no longer reaches back to the entry, \"budget\": more missed ops than the replay budget).", "reason")
+	m.repairFallbackStructural = rf.With("structural")
+	m.repairFallbackJournal = rf.With("journal")
+	m.repairFallbackBudget = rf.With("budget")
 
 	sw := reg.HistogramVec("rknnt_shard_write_seconds", "Per-shard portion of committed batched index writes.", nanos, "shard")
 	m.shardWrite = make([]*obs.Histogram, shards)

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/model"
 )
 
@@ -14,28 +16,37 @@ import (
 // results for different transitions are independent — so a cached
 // RkNNT answer does not need recomputing when transitions change: every
 // removed ID is dropped from the result list, and every added
-// transition is rank-checked against the cached query (two
-// TakesQueryAsKNN calls, the same exact primitive the standing-query
-// monitor uses) and merged in if it qualifies. Repair costs
-// microseconds per entry; a recompute costs milliseconds. Route changes
-// still purge — they shift every rank.
+// transition is merged in if one endpoint (∃) or both (∀) take the
+// cached query Q as a kNN. By the radius identity (core/doc.go) that is
+//
+//	PointRouteDist2(t, Q) <= r²_k(t)
+//
+// where r²_k(t) = core.RankRadius2 depends on the endpoint, k and the
+// route set but not on Q. The journal batch that recorded the add
+// memoises the radii (journal.go), so an arriving transition costs two
+// RR-tree probes per k in use — paid by the first stale read that
+// replays its batch — and every other cached entry pays two distance
+// evaluations and two compares. Ties decide exactly as in a recompute:
+// both sides of the compare are minima of Point.Dist2 values. Route
+// changes still purge — they shift every radius.
 //
 // The engine repairs LAZILY: a commit only appends its delta to the
-// shard's journal (journal.go), and a stale cache hit replays, at read
-// time, exactly the journal batches its epoch sub-vector missed.
-// Entries that are never read again never pay. The pre-vector engine
-// instead walked the whole cache inside every commit — that eager walk
-// survives as repairEagerLocked for Options.SinglePipeline, the
-// benchmark's reference configuration.
+// shard's journal, and a stale cache hit replays, at read time, exactly
+// the journal batches its epoch sub-vector missed. Entries that are
+// never read again never pay. The pre-vector engine instead walked the
+// whole cache inside every commit — that eager walk survives as
+// repairEagerLocked for Options.SinglePipeline, the benchmark's
+// reference configuration, and still rank-probes per cached entry.
 //
 // Replay is order-insensitive, so batches gathered from different shard
 // journals need no global ordering: ALL removals splice first, then
 // every add is verified against the CURRENT index — a liveness lookup
 // (the ID may have been re-removed by a later batch, possibly on
-// another shard) and a rank check with the transition's CURRENT
-// geometry (a later re-add may have moved it). Replaying [remove X]
-// before or after [re-add X] therefore converges to the same answer:
-// whatever the live index says about X now.
+// another shard) and a check against the transition's CURRENT geometry
+// (a later re-add may have moved it; memoised radii are used only when
+// they were computed for that geometry). Replaying [remove X] before or
+// after [re-add X] therefore converges to the same answer: whatever the
+// live index says about X now.
 
 // repairReplayOps is the historical fixed cap on journal ops (adds +
 // removals) one repair may replay. It now only seeds the adaptive
@@ -66,10 +77,10 @@ func (e *Engine) tryRepair(key string, ent *cachedQuery) *QueryResult {
 	defer e.runlockAll()
 	cur := e.epochVecQuiescent()
 	if old.Structural != cur.Structural || len(old.Shards) != len(cur.Shards) {
+		e.mx.repairFallbackStructural.Inc()
 		return nil
 	}
-	var adds []model.TransitionID
-	var removedSet map[model.TransitionID]bool
+	var missed []journalBatch // batches with work for this entry
 	touched := ent.touched
 	budget := e.repairTune.Budget()
 	ops := 0
@@ -80,22 +91,20 @@ func (e *Engine) tryRepair(key string, ent *cachedQuery) *QueryResult {
 		shardTouched := s >= 64 || touched&(1<<uint(s)) != 0
 		bs, ok := e.journals[s].since(old.Shards[s], cur.Shards[s])
 		if !ok {
+			e.mx.repairFallbackJournal.Inc()
 			return nil
 		}
 		for _, b := range bs {
-			adds = append(adds, b.added...)
-			ops += len(b.added)
-			if shardTouched {
-				ops += len(b.removed)
-				for _, id := range b.removed {
-					if removedSet == nil {
-						removedSet = make(map[model.TransitionID]bool)
-					}
-					removedSet[id] = true
-				}
+			if !shardTouched {
+				b.removed = nil // b is a copy; the journal keeps its list
+			}
+			if n := len(b.added) + len(b.removed); n > 0 {
+				ops += n
+				missed = append(missed, b)
 			}
 		}
 		if ops > budget {
+			e.mx.repairFallbackBudget.Inc()
 			return nil
 		}
 	}
@@ -103,44 +112,50 @@ func (e *Engine) tryRepair(key string, ent *cachedQuery) *QueryResult {
 	replayStart := time.Now()
 	ids := ent.res.Transitions
 	changed := false
-	if removedSet != nil {
-		kept := ids[:0:0]
-		for _, id := range ids {
-			if removedSet[id] {
-				changed = true
+	// Result lists are sorted, so a removed ID is found by binary search.
+	for _, b := range missed {
+		for _, id := range b.removed {
+			i, found := slices.BinarySearch(ids, id)
+			if !found {
 				continue
 			}
-			kept = append(kept, id)
-		}
-		if changed {
-			ids = kept
+			if !changed {
+				ids = slices.Clone(ids)
+				changed = true
+			}
+			ids = slices.Delete(ids, i, i+1)
 		}
 	}
-	for _, id := range adds {
-		t, live := e.idx.TransitionValue(id)
-		if !live {
-			continue // re-removed by a later batch (any shard)
-		}
-		if !inWindow(ent.opts, &t) || !e.transitionMatches(ent, &t) {
+	for _, b := range missed {
+		if len(b.added) == 0 {
 			continue
 		}
-		i := sort.Search(len(ids), func(i int) bool { return ids[i] >= t.ID })
-		if i < len(ids) && ids[i] == t.ID {
-			continue
-		}
-		if !changed {
-			ids = append([]model.TransitionID(nil), ids...)
-			changed = true
-		}
-		ids = append(ids, 0)
-		copy(ids[i+1:], ids[i:])
-		ids[i] = t.ID
-		if s, ok := e.idx.ShardOf(t.ID); ok && s < 64 {
-			touched |= 1 << uint(s)
+		radii := b.radiiFor(e, ent.opts.K)
+		for j, id := range b.added {
+			t, live := e.idx.TransitionValue(id)
+			if !live {
+				continue // re-removed by a later batch (any shard)
+			}
+			if !inWindow(ent.opts, &t) || !e.addMatches(ent, &t, radii[j]) {
+				continue
+			}
+			i, found := slices.BinarySearch(ids, t.ID)
+			if found {
+				continue
+			}
+			if !changed {
+				ids = slices.Clone(ids)
+				changed = true
+			}
+			ids = slices.Insert(ids, i, t.ID)
+			if s, ok := e.idx.ShardOf(t.ID); ok && s < 64 {
+				touched |= 1 << uint(s)
+			}
 		}
 	}
 
 	e.repairTune.ObserveReplay(ops, time.Since(replayStart))
+	e.mx.repairReplayOps.Record(uint64(ops))
 	stats := ent.res.Stats
 	stats.Results = len(ids)
 	stats.ShardsTouched = touched
@@ -153,6 +168,24 @@ func (e *Engine) tryRepair(key string, ent *cachedQuery) *QueryResult {
 	})
 	e.mx.cacheRepairs.Inc()
 	return res
+}
+
+// addMatches reports whether the live transition t belongs to the cached
+// query's result set, from its rank radii: one point-route distance and
+// one compare per endpoint (Definition 5 semantics: ∃ needs one
+// qualifying endpoint, ∀ both). memo is the journal batch's record for
+// t's ID; when it was taken for other geometry (the ID was removed and
+// re-added elsewhere since) the radii are probed afresh and not kept —
+// the batch that re-added it carries the memo for the new geometry.
+func (e *Engine) addMatches(ent *cachedQuery, t *model.Transition, memo addRadii) bool {
+	if memo.o != t.O || memo.d != t.D {
+		memo = e.probeRadii(t, ent.opts.K)
+	}
+	o := geo.PointRouteDist2(t.O, ent.query) <= memo.ro2
+	if ent.opts.Semantics == core.ForAll {
+		return o && geo.PointRouteDist2(t.D, ent.query) <= memo.rd2
+	}
+	return o || geo.PointRouteDist2(t.D, ent.query) <= memo.rd2
 }
 
 // batchDelta is the net effect of one coalesced write batch on the
@@ -273,9 +306,8 @@ func inWindow(opts core.Options, t *model.Transition) bool {
 	return t.Time >= opts.TimeFrom && t.Time <= opts.TimeTo
 }
 
-// transitionMatches reports whether the transition belongs to the cached
-// query's result set, by exact rank checks of its endpoints (Definition 5
-// semantics: ∃ needs one qualifying endpoint, ∀ both).
+// transitionMatches is addMatches by one RR-tree rank probe per endpoint
+// and cached query; only the eager walk (repairEagerLocked) uses it.
 func (e *Engine) transitionMatches(ent *cachedQuery, t *model.Transition) bool {
 	o := core.TakesQueryAsKNN(e.idx, ent.query, t.O, ent.opts.K)
 	if ent.opts.Semantics == core.ForAll {

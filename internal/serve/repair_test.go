@@ -3,6 +3,7 @@ package serve
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -219,5 +220,104 @@ func TestRepairBudgetFallsBackToPurge(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Transitions, want) {
 		t.Fatalf("post-flood result %d ids != fresh %d ids", len(got.Transitions), len(want))
+	}
+}
+
+// TestRepairConcurrentSharedBatch hammers one journal batch per shard
+// from many goroutines at once: 32 cached entries, at two k values, are
+// all stale by the same commit and are read concurrently, so their
+// replays race to fill the batch's radius memo. Every repaired answer
+// must equal a fresh computation, and the memo must have been filled
+// once per k — two RR-tree probes per added transition per k, however
+// many entries replayed it. Run with -race.
+func TestRepairConcurrentSharedBatch(t *testing.T) {
+	e := New(shardedTestIndex(t, 2), Options{})
+	defer e.Close()
+	rng := rand.New(rand.NewSource(41))
+	seedTs := make([]model.Transition, 40)
+	for i := range seedTs {
+		seedTs[i] = model.Transition{
+			ID: model.TransitionID(i + 1),
+			O:  geo.Pt(rng.Float64()*50, rng.Float64()*50),
+			D:  geo.Pt(rng.Float64()*50, rng.Float64()*50),
+		}
+	}
+	for _, err := range e.AddTransitions(seedTs) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	type read struct {
+		q    []geo.Point
+		opts core.Options
+	}
+	var reads []read
+	for i := 0; i < 16; i++ {
+		q := []geo.Point{geo.Pt(rng.Float64()*50, rng.Float64()*50), geo.Pt(rng.Float64()*50, rng.Float64()*50)}
+		reads = append(reads, read{q, core.Options{K: 2}}, read{q, core.Options{K: 5, Semantics: core.Semantics(i % 2)}})
+	}
+	for _, r := range reads {
+		if _, err := e.RkNNT(r.q, r.opts); err != nil { // prime the cache
+			t.Fatal(err)
+		}
+	}
+
+	// One commit per shard pipeline: each shard's journal gains exactly
+	// one batch (the ops of one AddTransitions call coalesce per shard
+	// only when queued together, so drive the pipelines directly).
+	adds := make([][]writeOp, 2)
+	for i := 0; i < 24; i++ {
+		tr := model.Transition{
+			ID: model.TransitionID(1000 + i),
+			O:  geo.Pt(rng.Float64()*50, rng.Float64()*50),
+			D:  geo.Pt(rng.Float64()*50, rng.Float64()*50),
+		}
+		s := e.idx.HomeShard(tr.ID)
+		adds[s] = append(adds[s], writeOp{kind: opAddTransition, t: tr, done: make(chan opResult, 1)})
+	}
+	for s, batch := range adds {
+		e.pipes[s].applyShard(batch)
+		for _, op := range batch {
+			if r := <-op.done; r.err != nil {
+				t.Fatal(r.err)
+			}
+		}
+	}
+	probesBefore := e.mx.radiusProbes.Load()
+	repairsBefore := e.EngineStats().CacheRepairs
+
+	var wg sync.WaitGroup
+	for i := range reads {
+		wg.Add(1)
+		go func(r read) {
+			defer wg.Done()
+			got, err := e.RkNNT(r.q, r.opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !got.Repaired {
+				t.Errorf("%+v: stale hit was not repaired", r.opts)
+			}
+			want, _, err := func() ([]model.TransitionID, *core.Stats, error) {
+				e.rlockAll()
+				defer e.runlockAll()
+				return core.RkNNT(e.idx, r.q, core.Options{K: r.opts.K, Semantics: r.opts.Semantics, Method: core.BruteForce})
+			}()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got.Transitions, want) && len(got.Transitions)+len(want) > 0 {
+				t.Errorf("%+v: repaired %v != fresh %v", r.opts, got.Transitions, want)
+			}
+		}(reads[i])
+	}
+	wg.Wait()
+	if got := e.EngineStats().CacheRepairs - repairsBefore; got != uint64(len(reads)) {
+		t.Errorf("%d repairs for %d stale reads", got, len(reads))
+	}
+	if got, want := e.mx.radiusProbes.Load()-probesBefore, uint64(24*2*2); got != want {
+		t.Errorf("%d radius probes for 24 adds at 2 k values, want %d: the memo was not shared", got, want)
 	}
 }

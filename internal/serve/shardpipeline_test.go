@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -148,72 +149,91 @@ func TestCacheSurvivesOtherShardCommit(t *testing.T) {
 }
 
 // TestRepairMatchesPurgeOracle is the differential acceptance test for
-// lazy journal repair: a normal engine (journals + read-time replay)
-// and an oracle engine (Options.PurgeOnWrite: every commit purges, so
-// every read recomputes) receive the same interleaved per-shard write
-// stream, and every query answer must be byte-identical.
+// lazy journal repair: a normal engine (journals + read-time replay
+// from memoised rank radii) and an oracle engine (Options.PurgeOnWrite:
+// every commit purges, so every read recomputes) receive the same
+// interleaved per-shard write stream, and every query answer must be
+// byte-identical — for every shard count, several k (one beyond the
+// route count), both semantics and a time window, with queries and
+// arrivals on route stops so distances tie exactly. "Move" steps remove
+// a transition and re-add the same ID elsewhere in a later batch: the
+// radii an earlier batch memoised for that ID describe geometry that no
+// longer exists, and cached entries that have not yet replayed that
+// batch must not trust them.
 func TestRepairMatchesPurgeOracle(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			repairVsPurgeChurn(t, shards)
+		})
+	}
+}
+
+func repairVsPurgeChurn(t *testing.T, shards int) {
 	mk := func(purge bool) *Engine {
-		return New(shardedTestIndex(t, 4), Options{PurgeOnWrite: purge})
+		return New(shardedTestIndex(t, shards), Options{PurgeOnWrite: purge})
 	}
 	subject, oracle := mk(false), mk(true)
 	defer subject.Close()
 	defer oracle.Close()
 
 	rng := rand.New(rand.NewSource(23))
-	queries := make([][]geo.Point, 5)
-	for i := range queries {
-		queries[i] = []geo.Point{
-			geo.Pt(rng.Float64()*50, rng.Float64()*50),
-			geo.Pt(rng.Float64()*50, rng.Float64()*50),
-		}
+	var stops []geo.Point
+	for id := model.RouteID(1); id <= 24; id++ {
+		stops = append(stops, subject.Route(id).Pts...)
 	}
+	point := func() geo.Point {
+		if rng.Intn(4) == 0 {
+			return stops[rng.Intn(len(stops))]
+		}
+		return geo.Pt(rng.Float64()*50, rng.Float64()*50)
+	}
+	queries := make([][]geo.Point, 6)
+	for i := range queries {
+		queries[i] = []geo.Point{point(), point()}
+	}
+	queries[0] = []geo.Point{stops[3], stops[17]}
 	optsSet := []core.Options{
+		{K: 1},
 		{K: 3},
+		{K: 2, Semantics: core.ForAll},
 		{K: 5, Semantics: core.ForAll},
 		{K: 4, TimeFrom: 50, TimeTo: 20_000},
+		{K: 30}, // more than the 24 routes: infinite radii
+	}
+	both := func(op func(e *Engine) error) {
+		t.Helper()
+		for _, e := range []*Engine{subject, oracle} {
+			if err := op(e); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	live := []model.TransitionID{}
 	nextID := model.TransitionID(1)
 	now := int64(100)
 	for step := 0; step < 200; step++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(12); {
 		case op < 6 || len(live) == 0:
-			tr := model.Transition{
-				ID: nextID,
-				O:  geo.Pt(rng.Float64()*50, rng.Float64()*50),
-				D:  geo.Pt(rng.Float64()*50, rng.Float64()*50),
-			}
+			tr := model.Transition{ID: nextID, O: point(), D: point()}
 			if rng.Intn(3) == 0 {
 				tr.Time = now
 				now += 7
 			}
 			nextID++
-			if err := subject.AddTransition(tr); err != nil {
-				t.Fatal(err)
-			}
-			if err := oracle.AddTransition(tr); err != nil {
-				t.Fatal(err)
-			}
+			both(func(e *Engine) error { return e.AddTransition(tr) })
 			live = append(live, tr.ID)
 		case op < 8:
 			k := rng.Intn(len(live))
 			victim := live[k]
 			live = append(live[:k], live[k+1:]...)
-			if _, err := subject.RemoveTransition(victim); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := oracle.RemoveTransition(victim); err != nil {
-				t.Fatal(err)
-			}
+			both(func(e *Engine) error { _, err := e.RemoveTransition(victim); return err })
+		case op < 10:
+			moved := model.Transition{ID: live[rng.Intn(len(live))], O: point(), D: point()}
+			both(func(e *Engine) error { _, err := e.RemoveTransition(moved.ID); return err })
+			both(func(e *Engine) error { return e.AddTransition(moved) })
 		default:
 			cutoff := now - int64(rng.Intn(300))
-			if _, err := subject.ExpireTransitionsBefore(cutoff); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := oracle.ExpireTransitionsBefore(cutoff); err != nil {
-				t.Fatal(err)
-			}
+			both(func(e *Engine) error { _, err := e.ExpireTransitionsBefore(cutoff); return err })
 			kept := live[:0]
 			for _, id := range live {
 				if subject.Transition(id) != nil {
@@ -234,7 +254,7 @@ func TestRepairMatchesPurgeOracle(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Transitions, want.Transitions) &&
 			!(len(got.Transitions) == 0 && len(want.Transitions) == 0) {
-			t.Fatalf("step %d: repaired %v != oracle %v", step, got.Transitions, want.Transitions)
+			t.Fatalf("step %d %+v (repaired=%v): %v != oracle %v", step, opts, got.Repaired, got.Transitions, want.Transitions)
 		}
 	}
 	st := subject.EngineStats()

@@ -7,7 +7,8 @@ import (
 )
 
 // Adaptive lazy-repair budget. A stale cache hit is worth repairing
-// while the replay (rank checks per journal op) costs less than simply
+// while the replay (one liveness lookup and two distance compares per
+// journaled add, one binary search per removal) costs less than simply
 // recomputing the query; both costs are workload- and host-dependent, so
 // the cap on replayable ops is learned from measurements rather than
 // fixed: budget = recomputeCost / perOpReplayCost, clamped. Until both
@@ -62,7 +63,7 @@ func (rt *repairTuner) ObserveRecompute(d time.Duration) {
 }
 
 // ObserveReplay folds one successful repair into the per-op cost
-// estimate: ops journal entries (adds rank-checked, removals spliced)
+// estimate: ops journal entries (adds radius-checked, removals spliced)
 // replayed in elapsed time.
 func (rt *repairTuner) ObserveReplay(ops int, elapsed time.Duration) {
 	if ops <= 0 || elapsed <= 0 {
