@@ -60,6 +60,19 @@ func BatchRkNNT(x *index.Index, queries [][]geo.Point, opts Options) ([][]model.
 	}
 	ids := make([][]model.TransitionID, len(queries))
 	stats := make([]*Stats, len(queries))
+	if planes := planesFor(x, opts); planes != nil {
+		// With a radius plane there is nothing left to share between
+		// queries but the snapshot: fan the descents across workers.
+		sp := opts.Trace.StartSpan("batch/descent")
+		qopts := opts
+		qopts.Trace = nil
+		runBatch(len(queries), parallelEnabled(opts), func(i int) {
+			stats[i] = &Stats{}
+			ids[i] = rknntPlane(x, planes, queries[i], qopts, stats[i])
+		})
+		sp.End()
+		return ids, stats, nil
+	}
 	switch opts.Method {
 	case FilterRefine, Voronoi, DivideConquer:
 	default:

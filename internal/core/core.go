@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -126,6 +126,11 @@ func (o Options) validate(query []geo.Point) error {
 	if len(query) == 0 {
 		return fmt.Errorf("core: empty query route")
 	}
+	for _, q := range query {
+		if !q.Finite() {
+			return fmt.Errorf("core: query coordinate is not finite when squared (|v| must be <= 1e150)")
+		}
+	}
 	if o.TimeFrom != 0 || o.TimeTo != 0 {
 		if o.TimeTo < o.TimeFrom {
 			return fmt.Errorf("core: TimeTo %d < TimeFrom %d", o.TimeTo, o.TimeFrom)
@@ -140,6 +145,12 @@ type Stats struct {
 	Filter time.Duration // FilterRoute + PruneTransition (the "Filtering" bars)
 	Verify time.Duration // RefineCandidates (the "Verification" bars)
 
+	// Plane reports that the query was answered by the radius-plane
+	// descent (descent.go) instead of the pipeline: Filter is then the
+	// descent time, Verify zero, Candidates the endpoints compared and the
+	// filter-set counters stay zero.
+	Plane bool
+
 	FilterPoints int // |S_filter.P|: route points used for pruning
 	FilterRoutes int // |S_filter.R|: distinct routes in the filter set
 	RefineNodes  int // |S_refine|: RR-tree nodes pruned during filtering
@@ -147,7 +158,8 @@ type Stats struct {
 	Results      int // |S_result|: transitions returned
 
 	// ShardsTouched is a bitmask over TR-tree shards: bit s is set when
-	// shard s contributed at least one candidate endpoint. It is a
+	// shard s contributed at least one candidate endpoint (on the plane
+	// path: when the descent reached a leaf of shard s). It is a
 	// conservative superset of the shards holding result transitions, so
 	// a serving layer may skip result maintenance for shards outside the
 	// mask when replaying per-shard removals. BruteForce scans (and
@@ -187,6 +199,9 @@ func RkNNT(x *index.Index, query []geo.Point, opts Options) ([]model.TransitionI
 		return nil, nil, err
 	}
 	stats := &Stats{}
+	if planes := planesFor(x, opts); planes != nil {
+		return rknntPlane(x, planes, query, opts, stats), stats, nil
+	}
 	var masks map[model.TransitionID]endpointMask
 	switch opts.Method {
 	case FilterRefine:
@@ -205,7 +220,7 @@ func RkNNT(x *index.Index, query []geo.Point, opts Options) ([]model.TransitionI
 	return ids, stats, nil
 }
 
-// EndpointMasks runs the RkNNT pipeline and returns, for every matching
+// EndpointMasks runs the RkNNT query and returns, for every matching
 // transition, which of its endpoints take the query as a kNN: bit 0 set
 // for the origin, bit 1 for the destination. A transition is an ∃RkNNT
 // result iff its mask is non-zero and a ∀RkNNT result iff both bits are
@@ -216,6 +231,9 @@ func EndpointMasks(x *index.Index, query []geo.Point, k int, method Method) (map
 	opts := Options{K: k, Method: method}
 	if err := opts.validate(query); err != nil {
 		return nil, err
+	}
+	if planes := planesFor(x, opts); planes != nil {
+		return masksPlane(x, planes, query, opts), nil
 	}
 	stats := &Stats{}
 	var masks map[model.TransitionID]endpointMask
@@ -243,22 +261,26 @@ func EndpointMasks(x *index.Index, query []geo.Point, k int, method Method) (map
 // collect applies semantics and the temporal window, then sorts.
 func collect(x *index.Index, masks map[model.TransitionID]endpointMask, opts Options) []model.TransitionID {
 	ids := make([]model.TransitionID, 0, len(masks))
-	timed := opts.TimeFrom != 0 || opts.TimeTo != 0
 	for id, m := range masks {
-		if opts.Semantics == ForAll && m != maskBoth {
-			continue
+		if keeps(x, id, m, opts) {
+			ids = append(ids, id)
 		}
-		if m == 0 {
-			continue
-		}
-		if timed {
-			t := x.Transition(id)
-			if t == nil || t.Time < opts.TimeFrom || t.Time > opts.TimeTo {
-				continue
-			}
-		}
-		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
+}
+
+// keeps reports whether a transition with endpoint mask m is a result
+// under the query's semantics and temporal window.
+func keeps(x *index.Index, id model.TransitionID, m endpointMask, opts Options) bool {
+	if m == 0 || (opts.Semantics == ForAll && m != maskBoth) {
+		return false
+	}
+	if opts.TimeFrom != 0 || opts.TimeTo != 0 {
+		t := x.Transition(id)
+		if t == nil || t.Time < opts.TimeFrom || t.Time > opts.TimeTo {
+			return false
+		}
+	}
+	return true
 }

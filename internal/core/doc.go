@@ -21,7 +21,7 @@
 // # The rank radius
 //
 // Sort the routes by distance from t and let r²_k(t) be the squared
-// distance to the k-th (RankRadius2; +Inf with fewer than k routes).
+// distance to the k-th (index.RankRadius2; +Inf with fewer than k routes).
 // Fewer than k routes are strictly closer than Q exactly when the k-th
 // nearest is not:
 //
@@ -29,15 +29,42 @@
 //
 // The right-hand side depends on Q through one distance only, so one
 // RR-tree probe per endpoint serves every query at that k — the basis of
-// incremental maintenance in internal/serve and internal/monitor. The
+// incremental maintenance in internal/serve and internal/monitor, and of
+// the radius-plane query path below. The
 // equivalence is exact in floating point, ties included: both sides are
 // minima of Point.Dist2 values, the same numbers the brute force
 // compares, and every bound the traversals prune or credit with
 // (Rect.MinDist2, Rect.MaxDist2) is a sum of squares that no Dist2 to a
 // point inside the rectangle can cross. A query stop shared with a data
 // route, where dist(t, Q) = dist(t, R) bit for bit, therefore decides the
-// same way in BruteForce, TakesQueryAsKNN, RankRadius2 and the batch
+// same way in BruteForce, TakesQueryAsKNN, index.RankRadius2 and the batch
 // verifier: the tied route is not strictly closer.
+//
+// # Two query paths
+//
+// The paper's pipeline — FilterRoute, PruneTransition, RefineCandidates,
+// per method — runs whenever the index carries no radius plane for
+// Options.K. That is every use of this package except the serving
+// engine's: the public DB, internal/exp's tables and figures, the
+// ablation benchmarks.
+//
+// When the index carries a radius plane for Options.K (only serve.Engine
+// builds one — for the k its traffic uses, see serve/plane.go), every
+// endpoint stores r²_k and every node the largest r² beneath it, and
+// RkNNT, EndpointMasks and BatchRkNNT answer by one descent
+// (descent.go): skip a node when MinDist2(Q, node) exceeds its largest
+// radius, compare PointRouteDist2(t, Q) <= r²_k(t) at the leaves, sort
+// the (transition, role) hits and merge. By the identity above the
+// result is the pipeline's, bit for bit; Stats.Plane reports which path
+// ran. BruteForce and the NoCrossover/NoNList/NoKernel ablations always
+// run the pipeline — they exist to measure it — as does any k other than
+// the plane's. The index keeps stored radii equal to fresh probes under
+// every write (internal/index/radii.go).
+//
+// Query coordinates must satisfy geo.Point.Finite (|v| <= 1e150): beyond
+// that a squared distance is +Inf or NaN and the comparisons above stop
+// meaning what the definition says. The index applies the same check to
+// routes and transitions.
 //
 // # Determinism
 //

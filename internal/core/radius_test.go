@@ -9,6 +9,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/index"
 	"repro/internal/model"
+	"repro/internal/rtree"
 )
 
 // tieCity builds an index whose geometry makes exact distance ties the
@@ -111,6 +112,51 @@ func TestSharedStopTies(t *testing.T) {
 	}
 }
 
+// rankRadius2Unbounded is the probe as it was before the bounded search
+// moved into rtree.KthDistinctDist2: best-first over nodes AND entries,
+// popping distinct routes in ascending distance until the k-th. Kept as
+// the oracle the bounded probe must match bit for bit.
+func rankRadius2Unbounded(x *index.Index, t geo.Point, k int) float64 {
+	if k > x.NumRoutes() {
+		return math.Inf(1)
+	}
+	tree := x.RouteTree()
+	var gb gatherBlock
+	var seen []model.RouteID
+	root := tree.Root()
+	h := minHeap{{node: root, dist: tree.Rect(root).MinDist2(t)}}
+	for h.Len() > 0 {
+		it := h.popItem()
+		if it.node == rtree.NilNode {
+			if containsRoute(seen, it.entry.ID) {
+				continue
+			}
+			seen = append(seen, it.entry.ID)
+			if len(seen) == k {
+				return it.dist
+			}
+			continue
+		}
+		n := it.node
+		if tree.IsLeaf(n) {
+			for _, e := range tree.Entries(n) {
+				// A route already counted was popped at a smaller distance.
+				if !containsRoute(seen, e.ID) {
+					h.push(heapItem{node: rtree.NilNode, entry: e, dist: e.Pt.Dist2(t)})
+				}
+			}
+			continue
+		}
+		cnt := tree.GatherChildRects(n, gb.xlo[:], gb.ylo[:], gb.xhi[:], gb.yhi[:])
+		geo.MinDist2Block(gb.xlo[:], gb.ylo[:], gb.xhi[:], gb.yhi[:], t, gb.dist[:cnt])
+		kids := tree.Children(n)
+		for i := 0; i < cnt; i++ {
+			h.push(heapItem{node: kids[i], dist: gb.dist[i]})
+		}
+	}
+	return math.Inf(1)
+}
+
 // bruteRadius2 is the definition of the rank radius: the k-th smallest
 // point-route distance over all routes.
 func bruteRadius2(x *index.Index, t geo.Point, k int) float64 {
@@ -149,9 +195,12 @@ func checkRadiusIdentity(t *testing.T, x *index.Index, stops []geo.Point, rng *r
 	}
 	for _, p := range probes {
 		for _, k := range ks {
-			r2 := RankRadius2(x, p, k)
+			r2 := x.RankRadius2(p, k)
 			if want := bruteRadius2(x, p, k); r2 != want {
 				t.Fatalf("%s: RankRadius2(%v, k=%d) = %v, definition gives %v", label, p, k, r2, want)
+			}
+			if old := rankRadius2Unbounded(x, p, k); r2 != old {
+				t.Fatalf("%s: bounded probe (%v, k=%d) = %v, unbounded probe gives %v", label, p, k, r2, old)
 			}
 			for _, q := range queries {
 				byRadius := geo.PointRouteDist2(p, q) <= r2
@@ -167,7 +216,7 @@ func checkRadiusIdentity(t *testing.T, x *index.Index, stops []geo.Point, rng *r
 }
 
 // TestRankRadiusIdentity is the property behind query-independent
-// repair: PointRouteDist2(t,Q) <= RankRadius2(x,t,k) decides exactly as
+// repair: PointRouteDist2(t,Q) <= x.RankRadius2(t,k) decides exactly as
 // bruteForceEndpoint and TakesQueryAsKNN do — exact ties included, k
 // beyond the route count (+Inf), an empty RR-tree, and after the route
 // set changes under it.
@@ -210,7 +259,7 @@ func TestRankRadiusEmptyRouteTree(t *testing.T) {
 	}
 	q := []geo.Point{geo.Pt(5, 5)}
 	for _, k := range []int{1, 3} {
-		if r2 := RankRadius2(x, geo.Pt(1, 1), k); !math.IsInf(r2, 1) {
+		if r2 := x.RankRadius2(geo.Pt(1, 1), k); !math.IsInf(r2, 1) {
 			t.Fatalf("k=%d: radius %v over no routes, want +Inf", k, r2)
 		}
 		if !TakesQueryAsKNN(x, q, geo.Pt(1, 1), k) || !bruteForceEndpoint(x, q, geo.Pt(1, 1), k) {
@@ -221,11 +270,11 @@ func TestRankRadiusEmptyRouteTree(t *testing.T) {
 	if err := x.AddRoute(model.Route{ID: 1, Stops: []model.StopID{1, 2}, Pts: []geo.Point{geo.Pt(0, 0), geo.Pt(4, 0)}}); err != nil {
 		t.Fatal(err)
 	}
-	if r2 := RankRadius2(x, geo.Pt(1, 1), 1); r2 != 2 {
+	if r2 := x.RankRadius2(geo.Pt(1, 1), 1); r2 != 2 {
 		t.Fatalf("radius to the only route = %v, want 2", r2)
 	}
 	x.RemoveRoute(1)
-	if r2 := RankRadius2(x, geo.Pt(1, 1), 1); !math.IsInf(r2, 1) {
+	if r2 := x.RankRadius2(geo.Pt(1, 1), 1); !math.IsInf(r2, 1) {
 		t.Fatalf("radius %v after the last route left, want +Inf", r2)
 	}
 }
@@ -243,7 +292,7 @@ func BenchmarkRankRadius2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += RankRadius2(x, probes[i%len(probes)], 10)
+		sink += x.RankRadius2(probes[i%len(probes)], 10)
 	}
 	radiusSink = sink
 }

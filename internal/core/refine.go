@@ -214,7 +214,7 @@ func endpointIsResultScalar(x *index.Index, tree *rtree.Tree, query []geo.Point,
 // of its k nearest routes: fewer than k distinct routes are strictly
 // closer to t than the query (the rank semantics of this package). It is
 // the single-check primitive: one RR-tree probe bounded by dist(t, Q).
-// Callers that test one endpoint against many queries use RankRadius2,
+// Callers that test one endpoint against many queries use index.RankRadius2,
 // which decides identically from one probe.
 func TakesQueryAsKNN(x *index.Index, query []geo.Point, t geo.Point, k int) bool {
 	return endpointIsResult(x, x.RouteTree(), query, t, k, true, false)

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // tinyConfig keeps experiment tests fast: heavily scaled-down datasets and
@@ -74,6 +76,26 @@ func TestAllExperimentsRun(t *testing.T) {
 		}
 		if tab.Format() == "" {
 			t.Errorf("%s: empty formatting", tab.ID)
+		}
+	}
+	// The figures reproduce the paper's filter-refine pipeline. A radius
+	// plane is built only by serve.Engine, and the engine experiments
+	// above run on private indexes — so no plane may have reached a suite
+	// index, which is what would route a figure's queries onto the descent
+	// (rknnt_query_path_total{path="plane"}).
+	for _, w := range []*workload{s.la, s.nyc, s.syn, s.plan} {
+		if w != nil && w.X.RadiusK() != 0 {
+			t.Errorf("%s: suite index carries a radius plane (k=%d) after the experiments", w.Name, w.X.RadiusK())
+		}
+	}
+	rng := s.rng()
+	for _, m := range rknntMethods {
+		_, st, err := core.RkNNT(s.LA().X, s.LA().City.Query(rng, DefaultQLen, DefaultInterval), core.Options{K: DefaultK, Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Plane {
+			t.Errorf("%v on the suite index took the plane path", m)
 		}
 	}
 }

@@ -18,6 +18,19 @@ type Point struct {
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 
+// MaxCoord bounds the coordinates the index and the query entry points
+// accept. 1e200 is a perfectly good float64 and valid JSON, but it squares
+// to +Inf, and a rank test on +Inf or NaN distances (d < +Inf counts every
+// route, d <= NaN none) no longer means what Definition 4 says. Below
+// MaxCoord every Dist2, MinDist2 and MaxDist2 is finite.
+const MaxCoord = 1e150
+
+// Finite reports whether both coordinates are numbers within ±MaxCoord.
+// NaN and ±Inf fail.
+func (p Point) Finite() bool {
+	return math.Abs(p.X) <= MaxCoord && math.Abs(p.Y) <= MaxCoord
+}
+
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)

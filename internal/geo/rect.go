@@ -90,9 +90,33 @@ func (r Rect) Margin() float64 {
 	return (r.Max.X - r.Min.X) + (r.Max.Y - r.Min.Y)
 }
 
+// UnionArea is r.Union(s).Area() for two non-empty rectangles, computed
+// with plain comparisons so that it inlines (Union's math.Min/math.Max do
+// not): the R-tree's ChooseLeaf and split heuristics evaluate thousands of
+// these per insert. The two can differ only in the sign of a zero extent
+// and in how NaN propagates, never in how two results compare.
+func (r Rect) UnionArea(s Rect) float64 {
+	if s.Min.X < r.Min.X {
+		r.Min.X = s.Min.X
+	}
+	if s.Min.Y < r.Min.Y {
+		r.Min.Y = s.Min.Y
+	}
+	if s.Max.X > r.Max.X {
+		r.Max.X = s.Max.X
+	}
+	if s.Max.Y > r.Max.Y {
+		r.Max.Y = s.Max.Y
+	}
+	return (r.Max.X - r.Min.X) * (r.Max.Y - r.Min.Y)
+}
+
 // Enlargement returns the area growth needed for r to also cover s.
 func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
+	if r.IsEmpty() || s.IsEmpty() {
+		return r.Union(s).Area() - r.Area()
+	}
+	return r.UnionArea(s) - r.Area()
 }
 
 // Center returns the center point of r.

@@ -182,6 +182,45 @@ func TestEnlargement(t *testing.T) {
 	}
 }
 
+// TestUnionAreaMatchesUnion pins UnionArea to Union().Area() on a coarse
+// grid where zero extents, duplicates, containment and signed zeros are
+// common: the R-tree split heuristics compare these numbers, and tree
+// shapes (hence serialized arenas) depend on the comparisons.
+func TestUnionAreaMatchesUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	negZero := math.Copysign(0, -1)
+	coord := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return negZero
+		case 2:
+			return rng.NormFloat64() * 1e6
+		}
+		return float64(rng.Intn(9) - 4)
+	}
+	rect := func() Rect {
+		r := RectOf(Pt(coord(), coord()))
+		if rng.Intn(2) == 0 {
+			r = r.ExpandPoint(Pt(coord(), coord()))
+		}
+		return r
+	}
+	for i := 0; i < 20000; i++ {
+		r, s := rect(), rect()
+		if got, want := r.UnionArea(s), r.Union(s).Area(); got != want {
+			t.Fatalf("UnionArea(%v, %v) = %v, Union().Area() = %v", r, s, got, want)
+		}
+		if got, want := r.Enlargement(s), r.Union(s).Area()-r.Area(); got != want {
+			t.Fatalf("Enlargement(%v, %v) = %v, want %v", r, s, got, want)
+		}
+	}
+	if got := EmptyRect().Enlargement(Rect{Min: Pt(0, 0), Max: Pt(2, 3)}); got != 6 {
+		t.Errorf("Enlargement of the empty rectangle = %v, want 6", got)
+	}
+}
+
 func TestCenterAndCorners(t *testing.T) {
 	r := Rect{Min: Pt(0, 0), Max: Pt(4, 2)}
 	if got := r.Center(); got != Pt(2, 1) {

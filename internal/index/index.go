@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
@@ -65,6 +66,12 @@ type Index struct {
 	// ExpireTransitionsBefore; see expiry.go.
 	expiry timeHeap
 
+	// radii is the radius plane (nil when there is none); routeGen counts
+	// route changes so a plane build can tell the route set moved under
+	// it. See radii.go.
+	radii    atomic.Pointer[radiusPlane]
+	routeGen uint64
+
 	// observer holds the optional telemetry sinks; see observe.go.
 	observer Observer
 
@@ -110,6 +117,9 @@ func BuildOpts(ds *model.Dataset, opts Options) (*Index, error) {
 	order := make([]int, 0, len(ds.Transitions))
 	for i := range ds.Transitions {
 		tr := ds.Transitions[i]
+		if err := validateTransition(&tr); err != nil {
+			return nil, err
+		}
 		if _, dup := x.transitions[tr.ID]; dup {
 			return nil, fmt.Errorf("index: duplicate transition ID %d", tr.ID)
 		}
@@ -176,6 +186,11 @@ func validateRoute(r *model.Route) error {
 	}
 	if len(r.Pts) != len(r.Stops) {
 		return fmt.Errorf("index: route %d has %d points but %d stop IDs", r.ID, len(r.Pts), len(r.Stops))
+	}
+	for _, p := range r.Pts {
+		if !p.Finite() {
+			return fmt.Errorf("index: route %d has a coordinate that is not finite when squared (|v| must be <= 1e150)", r.ID)
+		}
 	}
 	return nil
 }
@@ -306,7 +321,8 @@ func (x *Index) removeFromPList(stop model.StopID, route model.RouteID) {
 	}
 }
 
-// AddRoute indexes a new route dynamically.
+// AddRoute indexes a new route dynamically. Stored rank radii the route
+// is strictly inside of are re-probed (radii.go).
 func (x *Index) AddRoute(r model.Route) error {
 	if err := validateRoute(&r); err != nil {
 		return err
@@ -315,26 +331,33 @@ func (x *Index) AddRoute(r model.Route) error {
 		return fmt.Errorf("index: duplicate route ID %d", r.ID)
 	}
 	cp := copyRoute(&r)
+	stale := x.staleRadii(cp.Pts, false)
+	x.routeGen++
 	x.routes[r.ID] = cp
 	for j, p := range cp.Pts {
 		x.rr.Insert(rtree.Entry{Pt: p, ID: cp.ID, Aux: cp.Stops[j]})
 		x.addToPList(cp.Stops[j], cp.ID)
 	}
+	x.reprobe(stale)
 	return nil
 }
 
 // RemoveRoute removes a route and all its points from the index. It
-// reports whether the route was present.
+// reports whether the route was present. Stored rank radii that counted
+// the route are re-probed (radii.go).
 func (x *Index) RemoveRoute(id model.RouteID) bool {
 	r, ok := x.routes[id]
 	if !ok {
 		return false
 	}
+	stale := x.staleRadii(r.Pts, true)
+	x.routeGen++
 	for j, p := range r.Pts {
 		x.rr.Delete(rtree.Entry{Pt: p, ID: r.ID, Aux: r.Stops[j]})
 		x.removeFromPList(r.Stops[j], r.ID)
 	}
 	delete(x.routes, id)
+	x.reprobe(stale)
 	return true
 }
 
@@ -353,6 +376,9 @@ func (x *Index) AddTransitionsBatch(ts []model.Transition) []error {
 	perShard := make([][]rtree.Entry, len(x.trShards))
 	for i := range ts {
 		t := ts[i]
+		if errs[i] = validateTransition(&t); errs[i] != nil {
+			continue
+		}
 		if _, dup := x.transitions[t.ID]; dup {
 			errs[i] = fmt.Errorf("index: duplicate transition ID %d", t.ID)
 			continue
@@ -368,7 +394,8 @@ func (x *Index) AddTransitionsBatch(ts []model.Transition) []error {
 			rtree.Entry{Pt: t.O, ID: t.ID, Aux: Origin},
 			rtree.Entry{Pt: t.D, ID: t.ID, Aux: Destination})
 	}
-	x.applyPerShard(perShard, func(s int, e rtree.Entry) { x.trShards[s].Insert(e) })
+	k := x.RadiusK()
+	x.applyPerShard(perShard, func(s int, e rtree.Entry) { x.insertEntry(s, e, k) })
 	return errs
 }
 
@@ -397,7 +424,7 @@ func (x *Index) RemoveTransitionsBatch(ids []model.TransitionID) []bool {
 		delete(x.transitions, id)
 		delete(x.shardOf, id)
 	}
-	x.applyPerShard(perShard, func(s int, e rtree.Entry) { x.trShards[s].Delete(e) })
+	x.applyPerShard(perShard, x.deleteEntry)
 	return existed
 }
 
@@ -438,8 +465,8 @@ func (x *Index) applyPerShard(perShard [][]rtree.Entry, op func(s int, e rtree.E
 	wg.Wait()
 }
 
-// applyShard runs op over one shard's queued entries, timing the pass
-// when the shard is observed.
+// applyShard runs op over one shard's queued entries, in order, timing
+// the pass when the shard is observed.
 func (x *Index) applyShard(s int, es []rtree.Entry, op func(s int, e rtree.Entry)) {
 	h := x.shardWriteHist(s)
 	if h == nil {
@@ -454,3 +481,5 @@ func (x *Index) applyShard(s int, es []rtree.Entry, op func(s int, e rtree.Entry
 	}
 	h.RecordDuration(time.Since(start))
 }
+
+func (x *Index) deleteEntry(s int, e rtree.Entry) { x.trShards[s].Delete(e) }

@@ -51,12 +51,20 @@ func (x *Index) ShardOf(id model.TransitionID) (int, bool) {
 // ts[i] (duplicate IDs are rejected index-wide, not per shard). The
 // caller must hold shard s's write exclusion and keep readers out;
 // commits to other shards may proceed concurrently.
-func (x *Index) AddBatchToShard(s int, ts []model.Transition) []error {
+//
+// With a radius plane attached each endpoint is stored with its rank
+// radius; the radii come back too, so a serving layer that needs them
+// (journal memos) does not probe a second time.
+func (x *Index) AddBatchToShard(s int, ts []model.Transition) ([]error, AddedRadii) {
 	errs := make([]error, len(ts))
 	entries := make([]rtree.Entry, 0, 2*len(ts))
+	accepted := make([]int, 0, len(ts)) // ts index of entries[2j], entries[2j+1]
 	x.metaMu.Lock()
 	for i := range ts {
 		t := ts[i]
+		if errs[i] = validateTransition(&t); errs[i] != nil {
+			continue
+		}
 		if _, dup := x.transitions[t.ID]; dup {
 			errs[i] = fmt.Errorf("index: duplicate transition ID %d", t.ID)
 			continue
@@ -70,12 +78,24 @@ func (x *Index) AddBatchToShard(s int, ts []model.Transition) []error {
 		entries = append(entries,
 			rtree.Entry{Pt: t.O, ID: t.ID, Aux: Origin},
 			rtree.Entry{Pt: t.D, ID: t.ID, Aux: Destination})
+		accepted = append(accepted, i)
 	}
 	x.metaMu.Unlock()
-	if len(entries) > 0 {
-		x.applyShard(s, entries, func(s int, e rtree.Entry) { x.trShards[s].Insert(e) })
+	radii := AddedRadii{K: x.RadiusK()}
+	if len(entries) == 0 {
+		return errs, radii
 	}
-	return errs
+	if radii.K != 0 {
+		radii.r2 = make([]float64, 2*len(ts))
+	}
+	j := 0 // entries[j] is being inserted
+	x.applyShard(s, entries, func(s int, e rtree.Entry) {
+		if r2 := x.insertEntry(s, e, radii.K); radii.K != 0 {
+			radii.r2[2*accepted[j/2]+j%2] = r2
+		}
+		j++
+	})
+	return errs, radii
 }
 
 // RemoveBatchFromShard removes those of ids that live on shard s.
@@ -108,7 +128,7 @@ func (x *Index) RemoveBatchFromShard(s int, ids []model.TransitionID) (removed [
 	}
 	x.metaMu.Unlock()
 	if len(entries) > 0 {
-		x.applyShard(s, entries, func(s int, e rtree.Entry) { x.trShards[s].Delete(e) })
+		x.applyShard(s, entries, x.deleteEntry)
 	}
 	return removed, foreign
 }
@@ -142,7 +162,7 @@ func (x *Index) RemoveBatchAnyShard(ids []model.TransitionID) (removed []bool, p
 		if len(entries[s]) == 0 {
 			continue
 		}
-		x.applyShard(s, entries[s], func(s int, e rtree.Entry) { x.trShards[s].Delete(e) })
+		x.applyShard(s, entries[s], x.deleteEntry)
 	}
 	return removed, perShard
 }

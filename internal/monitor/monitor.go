@@ -7,7 +7,7 @@
 //
 // A full RkNNT query runs once at registration. Afterwards each arriving
 // transition costs two RR-tree probes per distinct k among the standing
-// queries — core.RankRadius2, the squared distance from an endpoint to
+// queries — index.RankRadius2, the squared distance from an endpoint to
 // its k-th nearest route, which does not depend on any query — and then
 // one point-route distance and one compare per endpoint per standing
 // query (an endpoint takes Q as a kNN iff PointRouteDist2(t, Q) <=
@@ -58,7 +58,7 @@ type Metrics struct {
 	// Unregister calls.
 	StandingAdds    *obs.Counter
 	StandingRemoves *obs.Counter
-	// RankChecks counts RR-tree probes (core.RankRadius2 calls) performed
+	// RankChecks counts RR-tree probes (index.RankRadius2 calls) performed
 	// for arriving transitions: two per transition per distinct standing
 	// k. The per-query distance compares that follow are not counted.
 	RankChecks *obs.Counter
@@ -227,7 +227,7 @@ func (m *Monitor) radii(byK *[]kRadii, t *model.Transition, k int) kRadii {
 		}
 	}
 	m.metrics.RankChecks.Add(2)
-	r := kRadii{k, core.RankRadius2(m.x, t.O, k), core.RankRadius2(m.x, t.D, k)}
+	r := kRadii{k, m.x.RankRadius2(t.O, k), m.x.RankRadius2(t.D, k)}
 	*byK = append(*byK, r)
 	return r
 }

@@ -25,6 +25,10 @@ type Neighbor struct {
 type queryScratch struct {
 	h                        distHeap
 	xlo, ylo, xhi, yhi, dist [BlockSlots]float64
+	nh                       nodeHeap  // KthDistinctDist2: nodes only
+	stack                    []NodeID  // DescendPlane
+	bestID                   []int32   // KthDistinctDist2: nearest distinct IDs so far
+	bestD                    []float64 // parallel to bestID
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(queryScratch) }}
@@ -95,6 +99,18 @@ func (t *Tree) NearestK(p geo.Point, k int) []Neighbor {
 	return out
 }
 
+// routeMinDist2 is the route-MINDIST bound of Equation 3 for one
+// rectangle: the smallest MinDist2 over the query points.
+func routeMinDist2(r geo.Rect, query []geo.Point) float64 {
+	best := math.Inf(1)
+	for _, q := range query {
+		if d := r.MinDist2(q); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
 // NearestRouteK is NearestK for a multi-point query: distances are
 // min over query points (Equation 3 of the paper).
 func (t *Tree) NearestRouteK(query []geo.Point, k int) []Neighbor {
@@ -103,14 +119,7 @@ func (t *Tree) NearestRouteK(query []geo.Point, k int) []Neighbor {
 	}
 	s := getScratch()
 	defer s.release()
-	rootDist := math.Inf(1)
-	rr := t.rect(t.root)
-	for _, q := range query {
-		if d := rr.MinDist2(q); d < rootDist {
-			rootDist = d
-		}
-	}
-	s.h = append(s.h[:0], distItem{node: t.root, dist: rootDist})
+	s.h = append(s.h[:0], distItem{node: t.root, dist: routeMinDist2(t.rect(t.root), query)})
 	out := make([]Neighbor, 0, k)
 	for s.h.Len() > 0 {
 		it := s.h.popItem()
@@ -131,6 +140,138 @@ func (t *Tree) NearestRouteK(query []geo.Point, k int) []Neighbor {
 		}
 	}
 	return out
+}
+
+// KthDistinctDist2 returns the k-th smallest value of
+//
+//	d(id) = min over entries e with e.ID == id of e.Pt.Dist2(p)
+//
+// over the distinct IDs in the tree — for the RR-tree, the squared
+// distance from p to its k-th nearest route — or +Inf when the tree holds
+// fewer than k distinct IDs. Every number compared or returned is a
+// Point.Dist2, so the result is bit-identical to sorting all d(id).
+//
+// The traversal is best-first over nodes and bounded: leaf entries are
+// scanned in place, the k nearest distinct IDs seen so far are kept with
+// their distances, and τ — the largest of those once k are known — is an
+// upper bound on the answer that only falls. No child with MinDist2 > τ
+// is pushed, no entry with Dist2 >= τ is looked at twice, and the search
+// stops when the nearest unexpanded node is beyond τ.
+func (t *Tree) KthDistinctDist2(p geo.Point, k int) float64 {
+	if k <= 0 || t.size < k {
+		return math.Inf(1)
+	}
+	s := getScratch()
+	defer s.release()
+	ids, ds := s.bestID[:0], s.bestD[:0]
+	tau := math.Inf(1)
+	worst := -1 // index of the entry holding τ, once k are known
+	h := append(s.nh[:0], nodeDist{node: t.root, dist: t.rect(t.root).MinDist2(p)})
+	for len(h) > 0 {
+		var it nodeDist
+		it, h = h.pop()
+		if it.dist > tau {
+			break
+		}
+		n := it.node
+		if !t.leaf[n] {
+			cnt := t.GatherChildRects(n, s.xlo[:], s.ylo[:], s.xhi[:], s.yhi[:])
+			geo.MinDist2Block(s.xlo[:], s.ylo[:], s.xhi[:], s.yhi[:], p, s.dist[:cnt])
+			kids := t.Children(n)
+			for i := 0; i < cnt; i++ {
+				if s.dist[i] <= tau {
+					h = h.push(nodeDist{node: kids[i], dist: s.dist[i]})
+				}
+			}
+			continue
+		}
+		for _, e := range t.Entries(n) {
+			d := e.Pt.Dist2(p)
+			if d >= tau {
+				continue
+			}
+			at := -1
+			for i, id := range ids {
+				if id == e.ID {
+					at = i
+					break
+				}
+			}
+			switch {
+			case at >= 0:
+				if d >= ds[at] {
+					continue
+				}
+				ds[at] = d
+				if at != worst {
+					continue // τ is held by another ID
+				}
+			case len(ids) < k:
+				ids, ds = append(ids, e.ID), append(ds, d)
+				if len(ids) < k {
+					continue
+				}
+			default:
+				ids[worst], ds[worst] = e.ID, d
+			}
+			worst = 0
+			for i, v := range ds {
+				if v > ds[worst] {
+					worst = i
+				}
+			}
+			tau = ds[worst]
+		}
+	}
+	s.nh, s.bestID, s.bestD = h[:0], ids, ds
+	return tau
+}
+
+// nodeDist is a node with its MINDIST; nodeHeap a binary min-heap of
+// them. KthDistinctDist2 never materialises entries on its heap, so it
+// uses these 16-byte items instead of distItem's 40.
+type nodeDist struct {
+	dist float64
+	node NodeID
+}
+
+type nodeHeap []nodeDist
+
+func (h nodeHeap) push(it nodeDist) nodeHeap {
+	h = append(h, it)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
+}
+
+func (h nodeHeap) pop() (nodeDist, nodeHeap) {
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h[j+1].dist < h[j].dist {
+			j++
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return top, h
 }
 
 // distItem is either a node (node != NilNode) or a materialised entry.

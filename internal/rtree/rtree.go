@@ -65,6 +65,10 @@ type Tree struct {
 	aggIDs   [][]int32
 	aggCnt   [][]int32
 
+	// plane is the optional value plane (plane.go): one float64 per entry
+	// slot and one maximum per node. nil when none is attached.
+	plane *Plane
+
 	// viewBacked marks a tree whose planes/kids/ents still alias the
 	// buffer it was loaded from (TreeFromArenaView). Cleared by
 	// ensureMutable before the first mutation. See arena_view.go.
@@ -210,6 +214,9 @@ func (t *Tree) alloc(leaf bool) NodeID {
 		t.leaf[n] = leaf
 		t.counts[n] = 0
 		t.parent[n] = NilNode
+		if t.plane != nil {
+			t.plane.max[n] = emptyMax
+		}
 		return n
 	}
 	n := NodeID(len(t.xlo))
@@ -227,6 +234,10 @@ func (t *Tree) alloc(leaf bool) NodeID {
 		t.aggIDs = append(t.aggIDs, nil)
 		t.aggCnt = append(t.aggCnt, nil)
 	}
+	if p := t.plane; p != nil {
+		p.max = append(p.max, emptyMax)
+		p.ent = append(p.ent, make([]float64, slotsPerNode)...)
+	}
 	return n
 }
 
@@ -241,20 +252,44 @@ func (t *Tree) freeNode(n NodeID) {
 	t.free = append(t.free, n)
 }
 
-// Insert adds an entry to the tree.
+// Insert adds an entry to a tree that has no value plane.
 func (t *Tree) Insert(e Entry) {
+	if t.plane != nil {
+		panic("rtree: Insert into a tree with a value plane; use InsertValued")
+	}
+	t.insert(e, 0)
+}
+
+// InsertValued adds an entry together with its value on the attached
+// plane.
+func (t *Tree) InsertValued(e Entry, v float64) {
+	if t.plane == nil {
+		panic("rtree: InsertValued into a tree without a value plane")
+	}
+	t.insert(e, v)
+}
+
+// insert adds e; v is its plane value, ignored when no plane is attached.
+func (t *Tree) insert(e Entry, v float64) {
+	p := t.plane
 	t.ensureMutable()
 	t.generation++
 	t.size++
 	path := t.chooseLeafPath(e.Pt)
 	leaf := path[len(path)-1]
-	base := int(leaf) * slotsPerNode
-	t.ents[base+int(t.counts[leaf])] = e
+	slot := int(leaf)*slotsPerNode + int(t.counts[leaf])
+	t.ents[slot] = e
+	if p != nil {
+		p.ent[slot] = v
+	}
 	t.counts[leaf]++
 	for _, n := range path {
 		t.setRect(n, t.rect(n).ExpandPoint(e.Pt))
 		if t.trackIDs {
 			t.aggAdd(n, e.ID)
+		}
+		if p != nil && v > p.max[n] {
+			p.max[n] = v
 		}
 	}
 	// Split overflowing nodes bottom-up.
@@ -275,6 +310,9 @@ func (t *Tree) Insert(e Entry) {
 			t.setRect(r, t.rect(cur).Union(t.rect(sib)))
 			if t.trackIDs {
 				t.rebuildAgg(r)
+			}
+			if p != nil {
+				t.recomputeMax(r)
 			}
 			t.root = r
 		} else {
@@ -341,6 +379,9 @@ func (t *Tree) Delete(e Entry) bool {
 	for i := 0; i < cnt; i++ {
 		if t.ents[base+i] == e {
 			t.ents[base+i] = t.ents[base+cnt-1]
+			if p := t.plane; p != nil {
+				p.ent[base+i] = p.ent[base+cnt-1]
+			}
 			t.counts[leaf]--
 			break
 		}
@@ -383,9 +424,11 @@ func (t *Tree) findLeaf(n NodeID, e Entry) NodeID {
 	return NilNode
 }
 
-// condense removes underfull nodes along the path and reinserts orphans.
+// condense removes underfull nodes along the path and reinserts orphans
+// with the plane values they carried.
 func (t *Tree) condense(path []NodeID) {
 	var orphans []Entry
+	var vals []float64 // parallel to orphans when a plane is attached
 	for i := len(path) - 1; i >= 1; i-- {
 		n, par := path[i], path[i-1]
 		if int(t.counts[n]) < minEntries {
@@ -395,12 +438,18 @@ func (t *Tree) condense(path []NodeID) {
 					t.aggSubNode(a, n)
 				}
 			}
-			t.collectSubtree(n, &orphans)
+			t.collectSubtree(n, &orphans, &vals)
 		} else {
 			t.recomputeRect(n)
+			if t.plane != nil {
+				t.recomputeMax(n)
+			}
 		}
 	}
 	t.recomputeRect(t.root)
+	if t.plane != nil {
+		t.recomputeMax(t.root)
+	}
 	// Shrink the root while it has a single child.
 	for !t.leaf[t.root] && t.counts[t.root] == 1 {
 		old := t.root
@@ -415,20 +464,28 @@ func (t *Tree) condense(path []NodeID) {
 	// Reinsert orphaned entries one by one. Subtree reinsertion at the
 	// right level is an optimisation; entry reinsertion is simpler and the
 	// delete path is not performance critical for the RkNNT workloads.
-	for _, e := range orphans {
-		t.size-- // Insert will re-count it
-		t.Insert(e)
+	for i, e := range orphans {
+		t.size-- // insert will re-count it
+		v := 0.0
+		if t.plane != nil {
+			v = vals[i]
+		}
+		t.insert(e, v)
 	}
 }
 
-// collectSubtree appends every entry beneath n to out and frees every
-// node of the subtree, n included.
-func (t *Tree) collectSubtree(n NodeID, out *[]Entry) {
+// collectSubtree appends every entry beneath n to out, its plane value
+// (if a plane is attached) to vals, and frees every node of the subtree,
+// n included.
+func (t *Tree) collectSubtree(n NodeID, out *[]Entry, vals *[]float64) {
 	if t.leaf[n] {
 		*out = append(*out, t.Entries(n)...)
+		if t.plane != nil {
+			*vals = append(*vals, t.planeVals(t.plane, n)...)
+		}
 	} else {
 		for _, c := range t.Children(n) {
-			t.collectSubtree(c, out)
+			t.collectSubtree(c, out, vals)
 		}
 	}
 	t.freeNode(n)
@@ -561,6 +618,11 @@ func (t *Tree) checkInvariants(strictFill bool) error {
 	if t.trackIDs {
 		if err := t.checkAgg(t.root); err != nil {
 			return err
+		}
+	}
+	if t.plane != nil {
+		if err := t.CheckPlane(nil); err != nil {
+			return fmt.Errorf("plane: %w", err)
 		}
 	}
 	return nil

@@ -7,7 +7,8 @@ import "repro/internal/geo"
 // sibling, which is returned. The caller attaches the sibling to n's
 // parent (or grows a new root). Ancestor aggregates are unaffected — the
 // multiset below the parent is unchanged — so only the two halves are
-// rebuilt.
+// rebuilt; plane values move with their entries and the two halves'
+// maxima are recomputed for the same reason.
 func (t *Tree) splitNode(n NodeID) NodeID {
 	sib := t.alloc(t.leaf[n])
 	base := int(n) * slotsPerNode
@@ -25,6 +26,16 @@ func (t *Tree) splitNode(n NodeID) NodeID {
 			t.ents[sbase+i] = scratch[idx]
 		}
 		t.counts[sib] = int32(len(gb))
+		if p := t.plane; p != nil {
+			var vals [slotsPerNode]float64
+			copy(vals[:], p.ent[base:base+cnt])
+			for i, idx := range ga {
+				p.ent[base+i] = vals[idx]
+			}
+			for i, idx := range gb {
+				p.ent[sbase+i] = vals[idx]
+			}
+		}
 	} else {
 		scratch := t.splitKids[:cnt]
 		copy(scratch, t.kids[base:base+cnt])
@@ -47,6 +58,10 @@ func (t *Tree) splitNode(n NodeID) NodeID {
 		t.rebuildAgg(n)
 		t.rebuildAgg(sib)
 	}
+	if t.plane != nil {
+		t.recomputeMax(n)
+		t.recomputeMax(sib)
+	}
 	return sib
 }
 
@@ -61,7 +76,7 @@ func quadraticSplit(n int, rectOf func(int) geo.Rect) (groupA, groupB []int) {
 		ri := rectOf(i)
 		for j := i + 1; j < n; j++ {
 			rj := rectOf(j)
-			d := ri.Union(rj).Area() - ri.Area() - rj.Area()
+			d := ri.UnionArea(rj) - ri.Area() - rj.Area()
 			if d > worst {
 				worst, seedA, seedB = d, i, j
 			}

@@ -143,6 +143,7 @@ func (p *shardPipeline) applyShard(batch []writeOp) {
 	var forwards []writeOp
 	var events []monitor.Event
 	var jAdded, jRemoved []model.TransitionID
+	var memo radiusMemo // radii the index stored for jAdded, at the plane's k
 
 	e.structMu.RLock()
 	e.shardMu[s].Lock()
@@ -158,12 +159,13 @@ func (p *shardPipeline) applyShard(batch []writeOp) {
 			for k := range run {
 				ts[k] = run[k].t
 			}
-			errs := e.idx.AddBatchToShard(s, ts)
+			errs, radii := e.idx.AddBatchToShard(s, ts)
 			events = append(events, e.mon.ApplyAdds(ts, errs)...)
 			for k := range run {
 				results[i+k] = opResult{err: errs[k]}
 				if errs[k] == nil {
 					jAdded = append(jAdded, ts[k].ID)
+					memo.record(&ts[k], radii, k)
 				}
 			}
 		case opRemoveTransition:
@@ -193,9 +195,10 @@ func (p *shardPipeline) applyShard(batch []writeOp) {
 			e.cache.Purge()
 			e.mx.cachePurges.Inc()
 		} else {
-			e.journals[s].append(journalBatch{epoch: newEpoch, added: jAdded, removed: jRemoved})
+			e.journals[s].append(journalBatch{epoch: newEpoch, added: jAdded, removed: jRemoved, radii: &memo})
 		}
 	}
+	e.mx.radiusProbes.Add(uint64(2 * len(jAdded) * len(memo.byK)))
 	e.broadcast(events)
 	e.shardMu[s].Unlock()
 	e.structMu.RUnlock()
@@ -275,7 +278,9 @@ func (p *shardPipeline) applyBarrier(batch []writeOp) {
 				for k, bi := range idxs {
 					ts[k] = batch[bi].t
 				}
-				errs := e.idx.AddBatchToShard(h, ts)
+				// No journal on this path (SinglePipeline repairs eagerly),
+				// so nobody wants the stored radii.
+				errs, _ := e.idx.AddBatchToShard(h, ts)
 				events = append(events, e.mon.ApplyAdds(ts, errs)...)
 				for k, bi := range idxs {
 					results[bi] = opResult{err: errs[k]}

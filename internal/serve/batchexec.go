@@ -12,9 +12,9 @@ import (
 // against a single snapshot. Each query is served exactly as RkNNT
 // would serve it — cache probe, journal repair of stale hits,
 // intra-batch dedup of identical queries — but every cache miss in the
-// batch executes together through core.BatchRkNNT, which traverses
-// each TR-tree shard once for the whole group and verifies candidates
-// through the multi-query block kernels. results[i] answers queries[i].
+// batch executes together through core.BatchRkNNT: one snapshot, with
+// the radius-plane descents fanned across workers (or, at a k without a
+// plane, the grouped pipeline traversal). results[i] answers queries[i].
 //
 // The batch executes under one read-lock acquisition, so every miss is
 // answered at the same epoch vector. An execution error (invalid

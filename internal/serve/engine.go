@@ -17,7 +17,10 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// CacheSize is the query-result LRU capacity (entries). Default 1024.
+	// CacheSize is the query-result LRU capacity (entries). Default 1024
+	// for engines built directly; rknnt-serve's -cache flag defaults to
+	// 4096. Whatever the entry cap, the cache also holds at most
+	// cacheByteBudget bytes of answers (cache.go).
 	CacheSize int
 	// CacheShards is how many independently locked ways the result cache
 	// is split into (rounded up to a power of two; capacity divides
@@ -138,6 +141,9 @@ type Engine struct {
 	tuner      *core.AdaptiveTuner
 	repairTune *repairTuner
 
+	// planeAdm decides which k owns the index's radius plane; see plane.go.
+	planeAdm planeAdmission
+
 	// Write pipelines: one per shard plus the barrier (see batch.go).
 	pipes   []*shardPipeline
 	barrier *shardPipeline
@@ -192,7 +198,7 @@ func New(idx *index.Index, opts Options) *Engine {
 	e.barrier = &shardPipeline{e: e, shard: -1, ch: make(chan writeOp, opts.QueueDepth)}
 	e.mx = newEngineMetrics(e, shards)
 	if opts.CacheShards == 1 {
-		e.cache = newLRUCache(opts.CacheSize, e.mx.cacheHits, e.mx.cacheMisses)
+		e.cache = newLRUCache(opts.CacheSize, cacheByteBudget, e.mx.cacheHits, e.mx.cacheMisses)
 	} else {
 		e.cache = newShardedCache(opts.CacheSize, opts.CacheShards, e.mx.cacheHits, e.mx.cacheMisses)
 	}
@@ -344,6 +350,7 @@ func (e *Engine) RkNNT(query []geo.Point, opts core.Options) (*QueryResult, erro
 			return nil, err
 		}
 		e.mx.addQueryTotals(stats)
+		e.notePlaneDemand(exOpts)
 		// Feed the repair tuner the cost this query would have avoided had
 		// its cached entry been repairable.
 		e.repairTune.ObserveRecompute(stats.Total())
@@ -572,6 +579,10 @@ type Stats struct {
 	Routes      int      `json:"routes"`
 	Transitions int      `json:"transitions"`
 
+	// RadiusPlaneK is the k whose queries are answered by a radius-plane
+	// descent, 0 when no plane exists (plane.go).
+	RadiusPlaneK int `json:"radius_plane_k"`
+
 	// Shards is the TR-tree shard count; ShardSizes the number of
 	// indexed transition endpoints per shard (occupancy).
 	Shards     int   `json:"shards"`
@@ -687,6 +698,7 @@ func (e *Engine) EngineStats() Stats {
 		EpochVector:          vec,
 		Routes:               routes,
 		Transitions:          transitions,
+		RadiusPlaneK:         e.idx.RadiusK(),
 		Shards:               shards,
 		ShardSizes:           shardSizes,
 		WriteQueueDepths:     queueDepths,

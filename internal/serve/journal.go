@@ -4,8 +4,8 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/index"
 	"repro/internal/model"
 )
 
@@ -23,12 +23,15 @@ import (
 // argument.
 //
 // Each batch also memoises the rank radii of the transitions it added
-// (core.RankRadius2, one pair per k in use). A radius depends on the
+// (index.RankRadius2, one pair per k in use). A radius depends on the
 // endpoint, k and the route set, never on the query, so every cached
-// entry that replays the batch shares the one pair of RR-tree probes
-// per added transition that the first of them paid for. Journals are
-// reset on every route change, so a memo never outlives the route set
-// it was computed over.
+// entry that replays the batch shares one pair of RR-tree probes per
+// added transition. At the radius plane's k the writer has already
+// probed — the index stores the radii with the endpoints — and the
+// commit hands them over (radiusMemo.record), so replay probes nothing;
+// at any other k the first stale read that replays the batch pays.
+// Journals are reset on every route change, so a memo never outlives
+// the route set it was computed over.
 
 // journalBatch is the net effect of one committed write batch on one
 // shard, folded in op order.
@@ -37,8 +40,7 @@ type journalBatch struct {
 	added   []model.TransitionID
 	removed []model.TransitionID
 	// radii memoises the rank radii of added. It is a pointer so the
-	// copies of the batch that since hands out share one memo; nil when
-	// the batch added nothing.
+	// copies of the batch that since hands out share one memo.
 	radii *radiusMemo
 }
 
@@ -62,6 +64,22 @@ type radiusMemo struct {
 type kRadii struct {
 	k     int
 	radii []addRadii // parallel to journalBatch.added; immutable once published
+}
+
+// record appends the radii the index stored for t — the i-th transition
+// of the add run that stored describes — at the radius plane's k, if
+// there is a plane. The committing pipeline calls it once per journalled
+// add, in order, before the batch is published (the plane cannot change
+// under the shard's write lock), so the list ends up parallel to added.
+func (m *radiusMemo) record(t *model.Transition, stored index.AddedRadii, i int) {
+	if stored.K == 0 {
+		return
+	}
+	if m.byK == nil {
+		m.byK = []kRadii{{k: stored.K}}
+	}
+	ro2, rd2 := stored.At(i)
+	m.byK[0].radii = append(m.byK[0].radii, addRadii{o: t.O, d: t.D, ro2: ro2, rd2: rd2})
 }
 
 // radiiFor returns the batch's radii for k, probing the RR-tree for them
@@ -100,8 +118,8 @@ func (e *Engine) probeRadii(t *model.Transition, k int) addRadii {
 	e.mx.radiusProbes.Add(2)
 	return addRadii{
 		o: t.O, d: t.D,
-		ro2: core.RankRadius2(e.idx, t.O, k),
-		rd2: core.RankRadius2(e.idx, t.D, k),
+		ro2: e.idx.RankRadius2(t.O, k),
+		rd2: e.idx.RankRadius2(t.D, k),
 	}
 }
 
@@ -125,7 +143,7 @@ type shardJournal struct {
 
 // append records a committed batch that advanced the shard to epoch.
 func (j *shardJournal) append(b journalBatch) {
-	if len(b.added) > 0 {
+	if b.radii == nil {
 		b.radii = new(radiusMemo)
 	}
 	j.mu.Lock()

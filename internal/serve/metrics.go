@@ -24,6 +24,12 @@ type engineMetrics struct {
 	verifyLatency *obs.Histogram // executed queries: core verification stage
 	queriesRun    *obs.Counter
 
+	// Which core path executed queries took, and the cost of each
+	// background radius-plane build.
+	pathPlane    *obs.Counter
+	pathPipeline *obs.Counter
+	planeBuild   *obs.Histogram
+
 	// Result cache + in-flight dedup.
 	cacheHits    *obs.Counter
 	cacheMisses  *obs.Counter
@@ -111,7 +117,8 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 		dedupHits:    reg.Counter("rknnt_inflight_dedup_total", "Queries served by sharing an identical in-flight execution."),
 
 		repairReplayOps: reg.Histogram("rknnt_repair_replay_ops", "Journal ops (adds checked + removals spliced) replayed per repaired stale cache hit.", 1),
-		radiusProbes:    reg.Counter("rknnt_rank_radius_probes_total", "RR-tree rank-radius probes by lazy cache repair: two per added transition per k in use, memoised in its journal batch and shared by every cached entry that replays it."),
+		radiusProbes:    reg.Counter("rknnt_rank_radius_probes_total", "RR-tree rank-radius probes for arriving transitions: two per transition per k. For a k with a radius plane the committing writer pays them (the radii are stored with the endpoints and handed to the journal batch); for any other k in use lazy cache repair pays them once per batch, memoised and shared by every cached entry that replays it."),
+		planeBuild:      reg.Histogram("rknnt_radius_plane_build_seconds", "Duration of building a radius plane in the background (one rank-radius probe per indexed endpoint, off the request path and outside the shard locks) after a k earned it by traffic.", nanos),
 
 		batchRequests:  reg.Counter("rknnt_batch_requests_total", "RkNNTBatch calls (batch endpoint requests)."),
 		batchQueries:   reg.Counter("rknnt_batch_queries_total", "Queries submitted through RkNNTBatch."),
@@ -146,6 +153,10 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 		candidates:   reg.Counter("rknnt_candidates_total", "Candidate endpoints surviving filtering across executed queries."),
 		results:      reg.Counter("rknnt_results_total", "Transitions returned across executed queries."),
 	}
+
+	qp := reg.CounterVec("rknnt_query_path_total", "Executed (uncached) RkNNT queries by core path (\"plane\": one radius-plane descent, \"pipeline\": the paper's filter-refine-verify pipeline — no plane for that k, BruteForce, or an ablation flag).", "path")
+	m.pathPlane = qp.With("plane")
+	m.pathPipeline = qp.With("pipeline")
 
 	rf := reg.CounterVec("rknnt_repair_fallback_total", "Stale cache hits recomputed instead of repaired, by reason (\"structural\": a route change moved the structural epoch, \"journal\": a shard journal no longer reaches back to the entry, \"budget\": more missed ops than the replay budget).", "reason")
 	m.repairFallbackStructural = rf.With("structural")
@@ -223,6 +234,15 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 	reg.GaugeFunc("rknnt_batch_window_seconds", "Current adaptive micro-batch coalescing window; tracks half the measured per-query batched execution cost.", func() float64 {
 		return e.coal.window().Seconds()
 	})
+	reg.GaugeFunc("rknnt_radius_planes", "Radius planes on the TR-tree: 1 while some k is answered by a plane descent (and every arriving transition pays two RR-tree probes at that k), else 0.", func() float64 {
+		if e.idx.RadiusK() != 0 {
+			return 1
+		}
+		return 0
+	})
+	reg.GaugeFunc("rknnt_radius_plane_k", "The k that owns the radius plane (the k most executed queries used over the last admission window), 0 when there is none.", func() float64 {
+		return float64(e.idx.RadiusK())
+	})
 	reg.GaugeFunc("rknnt_standing_queries", "Registered standing queries.", func() float64 {
 		return float64(e.standing.Load())
 	})
@@ -267,4 +287,9 @@ func (m *engineMetrics) addQueryTotals(s *core.Stats) {
 	m.candidates.Add(uint64(s.Candidates))
 	m.results.Add(uint64(s.Results))
 	m.queriesRun.Inc()
+	if s.Plane {
+		m.pathPlane.Inc()
+	} else {
+		m.pathPipeline.Inc()
+	}
 }

@@ -7,9 +7,14 @@ package serve
 // expiry), route changes (forcing structural COW), and periodic
 // incremental checkpoints. Every query class is compared: RkNNT under
 // both semantics and with a time window, kNN over routes, and network
-// planning. The test finishes by proving the checkpoint chain the mmap
-// engine wrote reloads — mapped and heap — into the exact canonical
-// bytes of the live engine's state.
+// planning. The radius plane (for one of the three k values; it moves to
+// another mid-churn) is built while every arena is still file-backed —
+// building must not materialise anything — so each shard's first write
+// then copies the arena out from under a live plane; the plane invariant
+// (index.CheckRadii) is checked on both engines after every step. The test finishes by proving the checkpoint
+// chain the mmap engine wrote reloads — mapped and heap — into the exact
+// canonical bytes of the live engine's state (planes are heap-side and
+// never reach the arena).
 
 import (
 	"bytes"
@@ -75,10 +80,47 @@ func TestMmapHeapDifferentialChurn(t *testing.T) {
 		{K: 4, TimeFrom: 1, TimeTo: 1 << 40},
 	}
 
+	// Build the plane (k = 3) over the untouched, view-backed trees; the
+	// other two k values keep running the pipeline beside it.
+	backed := me.idx.FileBackedArenas()
+	for _, e := range []*Engine{me, he} {
+		if !e.setPlane(optsSet[0].K) {
+			t.Fatal("plane build abandoned")
+		}
+		for i, o := range optsSet {
+			res, err := e.RkNNT(queries[0], o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Plane != (i == 0) {
+				t.Fatalf("%+v: plane path %v", o, res.Stats.Plane)
+			}
+		}
+	}
+	if got := me.idx.FileBackedArenas(); got != backed {
+		t.Fatalf("building the plane materialised arenas: %d file-backed before, %d after", backed, got)
+	}
+	checkPlanes := func(step int) {
+		t.Helper()
+		for _, e := range []*Engine{me, he} {
+			e.rlockAll()
+			err := e.idx.CheckRadii()
+			e.runlockAll()
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	checkPlanes(-1)
+
 	var live []model.TransitionID
 	nextID := model.TransitionID(100000)
 	nextRoute := model.RouteID(100000)
 	now := int64(1000)
+	newStops := make([]geo.Point, 8)
+	for i := range newStops {
+		newStops[i] = geo.Pt(rng.Float64()*12, rng.Float64()*12)
+	}
 	both := func(step int, what string, fn func(e *Engine) (any, error)) {
 		t.Helper()
 		a, err := fn(me)
@@ -132,15 +174,14 @@ func TestMmapHeapDifferentialChurn(t *testing.T) {
 			live = kept
 		case op < 18:
 			// Structural churn: forces the RR-tree (and, transitively,
-			// cached planner state) through the COW path.
-			s1, s2 := model.StopID(rng.Intn(8)+200000), model.StopID(rng.Intn(8)+200000)
+			// cached planner state) through the COW path. A stop ID names
+			// one location — the crossover credit relies on it — so the
+			// new routes draw their stops from a fixed table.
+			s1, s2 := rng.Intn(len(newStops)), rng.Intn(len(newStops))
 			route := model.Route{
 				ID:    nextRoute,
-				Stops: []model.StopID{s1, s2},
-				Pts: []geo.Point{
-					geo.Pt(rng.Float64()*12, rng.Float64()*12),
-					geo.Pt(rng.Float64()*12, rng.Float64()*12),
-				},
+				Stops: []model.StopID{model.StopID(200000 + s1), model.StopID(200000 + s2)},
+				Pts:   []geo.Point{newStops[s1], newStops[s2]},
 			}
 			nextRoute++
 			both(step, "addroute", func(e *Engine) (any, error) { return nil, e.AddRoute(route) })
@@ -152,12 +193,24 @@ func TestMmapHeapDifferentialChurn(t *testing.T) {
 			}
 		}
 
+		if step == 120 { // move the plane mid-churn, after copy-on-write
+			for _, e := range []*Engine{me, he} {
+				if !e.setPlane(optsSet[1].K) {
+					t.Fatal("plane build abandoned")
+				}
+			}
+		}
+		checkPlanes(step)
 		q := queries[rng.Intn(len(queries))]
 		opts := optsSet[rng.Intn(len(optsSet))]
 		both(step, "rknnt", func(e *Engine) (any, error) {
 			res, err := e.RkNNT(q, opts)
 			if err != nil {
 				return nil, err
+			}
+			// Cached, repaired, descended or piped: the definition is the judge.
+			if want := bruteForce(t, e, q, opts); !sameIDs(res.Transitions, want) {
+				t.Fatalf("step %d %+v (cached=%v repaired=%v plane=%v): engine %v, brute force %v", step, opts, res.Cached, res.Repaired, res.Stats.Plane, res.Transitions, want)
 			}
 			return res.Transitions, nil
 		})
@@ -182,6 +235,10 @@ func TestMmapHeapDifferentialChurn(t *testing.T) {
 				return *res, nil
 			})
 		}
+	}
+
+	if msf.Mapped() && me.idx.FileBackedArenas() >= backed {
+		t.Fatalf("200 steps of writes left all %d arenas file-backed: no copy-on-write happened under the plane", backed)
 	}
 
 	// Seal the chain with a final delta, then prove load→save canonical

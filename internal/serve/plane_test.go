@@ -1,0 +1,495 @@
+package serve
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/model"
+)
+
+// bruteForce answers q by definition over the engine's current index.
+func bruteForce(t testing.TB, e *Engine, q []geo.Point, opts core.Options) []model.TransitionID {
+	t.Helper()
+	opts.Method = core.BruteForce
+	e.rlockAll()
+	defer e.runlockAll()
+	ids, _, err := core.RkNNT(e.idx, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+func sameIDs(a, b []model.TransitionID) bool {
+	return len(a)+len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
+func seededEngine(t testing.TB, shards, transitions int) (*Engine, *rand.Rand) {
+	t.Helper()
+	e := New(shardedTestIndex(t, shards), Options{})
+	t.Cleanup(e.Close)
+	rng := rand.New(rand.NewSource(int64(90 + shards)))
+	ts := make([]model.Transition, transitions)
+	for i := range ts {
+		ts[i] = model.Transition{
+			ID: model.TransitionID(i + 1),
+			O:  geo.Pt(rng.Float64()*50, rng.Float64()*50),
+			D:  geo.Pt(rng.Float64()*50, rng.Float64()*50),
+		}
+	}
+	for _, err := range e.AddTransitions(ts) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e, rng
+}
+
+func randomQuery(rng *rand.Rand) []geo.Point {
+	return []geo.Point{geo.Pt(rng.Float64()*50, rng.Float64()*50), geo.Pt(rng.Float64()*50, rng.Float64()*50)}
+}
+
+// waitPlane waits for the background build that traffic triggered: the
+// plane is for k and no build is in flight.
+func waitPlane(t testing.TB, e *Engine, k int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		e.planeAdm.mu.Lock()
+		building := e.planeAdm.building
+		e.planeAdm.mu.Unlock()
+		if !building && e.idx.RadiusK() == k {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("radius plane is at k=%d (building=%v), want k=%d", e.idx.RadiusK(), building, k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// ask runs one fresh query per call and checks it against brute force;
+// it reports whether the plane answered.
+func ask(t testing.TB, e *Engine, rng *rand.Rand, opts core.Options) bool {
+	t.Helper()
+	q := randomQuery(rng)
+	res, err := e.RkNNT(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bruteForce(t, e, q, opts); !sameIDs(res.Transitions, want) {
+		t.Fatalf("%+v: %v, want %v", opts, res.Transitions, want)
+	}
+	return res.Stats.Plane
+}
+
+// TestRadiusPlaneBuiltOnce races queries at one k, singles and batches
+// together, past the admission threshold: every answer is correct — the
+// early ones from the pipeline, nobody waits for a build — and exactly
+// one plane build results. Run with -race -count=10.
+func TestRadiusPlaneBuiltOnce(t *testing.T) {
+	e, rng := seededEngine(t, 2, 300)
+	queries := make([][]geo.Point, 3*planeAdmitAfter)
+	for i := range queries {
+		queries[i] = randomQuery(rng)
+	}
+	opts := core.Options{K: 3}
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func(i int, q []geo.Point) {
+			defer wg.Done()
+			var got []model.TransitionID
+			if i%4 == 3 {
+				res, err := e.RkNNTBatch([][]geo.Point{q, queries[(i+1)%len(queries)]}, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got = res[0].Transitions
+			} else {
+				res, err := e.RkNNT(q, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got = res.Transitions
+			}
+			if want := bruteForce(t, e, q, opts); !sameIDs(got, want) {
+				t.Errorf("query %d: %v, want %v", i, got, want)
+			}
+		}(i, q)
+	}
+	wg.Wait()
+	waitPlane(t, e, 3)
+	if builds := e.mx.planeBuild.Snapshot().Count; builds != 1 {
+		t.Errorf("%d plane builds for concurrent queries at one k, want 1", builds)
+	}
+	if e.mx.pathPipeline.Load() < planeAdmitAfter {
+		t.Errorf("only %d queries ran the pipeline: somebody built a plane before k had earned it", e.mx.pathPipeline.Load())
+	}
+	if !ask(t, e, rng, opts) {
+		t.Error("a query after the build did not take the plane path")
+	}
+	e.rlockAll()
+	err := e.idx.CheckRadii()
+	e.runlockAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRadiusPlaneAdmission pins who gets the plane. A k asked for once, or
+// a large k asked for all window long, never does — no build starts, so
+// no writer can be stalled by one and the slot stays free for real
+// traffic. BruteForce and ablation queries do not count. A k earns the
+// plane with planeAdmitAfter executed queries; an incumbent keeps it
+// against an equal rival, loses it to one that dominates a window, and is
+// dropped when the window belongs to k beyond maxPlaneK.
+func TestRadiusPlaneAdmission(t *testing.T) {
+	e, rng := seededEngine(t, 2, 120)
+	// Thousands of queries: check one in sixteen against brute force.
+	asked := 0
+	ask := func(t testing.TB, e *Engine, rng *rand.Rand, opts core.Options) bool {
+		t.Helper()
+		if asked++; asked%16 == 0 {
+			return ask(t, e, rng, opts)
+		}
+		res, err := e.RkNNT(randomQuery(rng), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.Plane
+	}
+	idle := func(label string) {
+		t.Helper()
+		e.planeAdm.mu.Lock()
+		building := e.planeAdm.building
+		e.planeAdm.mu.Unlock()
+		if building || e.idx.RadiusK() != 0 || e.mx.planeBuild.Snapshot().Count != 0 {
+			t.Fatalf("%s: building=%v, plane k=%d, %d builds", label, building, e.idx.RadiusK(), e.mx.planeBuild.Snapshot().Count)
+		}
+	}
+	for _, k := range []int{7, 9, 11, 13, 301} { // strays, one query each
+		ask(t, e, rng, core.Options{K: k})
+	}
+	idle("after one-off k values")
+	for i := 0; i < planeWindow+10; i++ { // a large k, insistently: more than a window
+		if i%2 == 0 {
+			ask(t, e, rng, core.Options{K: maxPlaneK + 1})
+		} else if _, err := e.RkNNTBatch([][]geo.Point{randomQuery(rng)}, core.Options{K: 300}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle("after a window of queries at k beyond maxPlaneK")
+	for i := 0; i < 2*planeAdmitAfter; i++ { // the pipeline's own measurements
+		ask(t, e, rng, core.Options{K: 4, Method: core.BruteForce})
+		ask(t, e, rng, core.Options{K: 4, NoNList: true})
+	}
+	idle("after BruteForce and ablation queries")
+	for i := 0; i < 2; i++ { // batches: one request must not take the plane
+		batch := make([][]geo.Point, 2*planeAdmitAfter)
+		for j := range batch {
+			batch[j] = randomQuery(rng)
+		}
+		if _, err := e.RkNNTBatch(batch, core.Options{K: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle("after batches at an eligible k")
+	for i := 0; i < planeAdmitAfter-1; i++ {
+		ask(t, e, rng, core.Options{K: 4})
+	}
+	idle("one query short of admission")
+	ask(t, e, rng, core.Options{K: 4})
+	waitPlane(t, e, 4)
+
+	// An equal rival does not take the plane from the incumbent...
+	for i := 0; i < planeWindow; i++ {
+		ask(t, e, rng, core.Options{K: 4 + 2*(i%2)})
+	}
+	waitPlane(t, e, 4)
+	// ...a stray in a window of incumbent traffic certainly does not...
+	ask(t, e, rng, core.Options{K: 9})
+	for i := 0; i < planeWindow; i++ {
+		if !ask(t, e, rng, core.Options{K: 4}) {
+			t.Fatal("incumbent k=4 ran the pipeline")
+		}
+	}
+	waitPlane(t, e, 4)
+	// ...a k that owns a whole window does, and the old k falls back to
+	// the pipeline, still correct.
+	for i := 0; i < planeWindow; i++ {
+		ask(t, e, rng, core.Options{K: 6})
+	}
+	waitPlane(t, e, 6)
+	if ask(t, e, rng, core.Options{K: 4}) || !ask(t, e, rng, core.Options{K: 6}) {
+		t.Fatal("after the plane moved to k=6: wrong paths")
+	}
+	// Traffic moves beyond maxPlaneK for good: the plane is dropped, and
+	// writers stop paying for it.
+	for i := 0; i < planeWindow; i++ {
+		ask(t, e, rng, core.Options{K: 50})
+	}
+	waitPlane(t, e, 0)
+	probes := e.mx.radiusProbes.Load()
+	if err := e.AddTransition(model.Transition{ID: 9001, O: geo.Pt(1, 1), D: geo.Pt(2, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.mx.radiusProbes.Load() - probes; got != 0 {
+		t.Fatalf("%d radius probes for an arrival with no plane", got)
+	}
+	if builds := e.mx.planeBuild.Snapshot().Count; builds != 2 {
+		t.Fatalf("%d plane builds over the whole history, want 2 (k=4, k=6)", builds)
+	}
+}
+
+// TestRadiusPlaneBuildLetsWritersThrough: while the build probes — all of
+// its cost — shard writers commit. The hook runs inside the build, after
+// each probe chunk and under whatever locks the build holds there; a write
+// submitted from it would wait forever if those included a shard lock.
+// The transitions it adds arrive mid-build, so the install must probe
+// them itself for the plane to come out exact.
+func TestRadiusPlaneBuildLetsWritersThrough(t *testing.T) {
+	e, rng := seededEngine(t, 2, 3*planeProbeChunk) // 6 chunks of endpoints
+	next := model.TransitionID(100_000)
+	e.planeAdm.probeHook = func() {
+		next++
+		done := make(chan error, 1)
+		go func() {
+			done <- e.AddTransition(model.Transition{ID: next, O: geo.Pt(rng.Float64()*50, rng.Float64()*50), D: geo.Pt(rng.Float64()*50, rng.Float64()*50)})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("a shard write did not commit while the plane build was probing")
+		}
+	}
+	if !e.setPlane(5) {
+		t.Fatal("build abandoned")
+	}
+	if written := int(next - 100_000); written < 5 {
+		t.Fatalf("only %d writes ran inside the build", written)
+	}
+	e.planeAdm.probeHook = nil
+	e.rlockAll()
+	err := e.idx.CheckRadii()
+	e.runlockAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ask(t, e, rng, core.Options{K: 5}) {
+		t.Fatal("no plane path after the build")
+	}
+
+	// A route change mid-build voids it: the plane stays as it was. The
+	// change needs structMu.W, so it waits for the chunk in progress — not
+	// for the build — and the build's next chunk waits for it.
+	routeDone := make(chan error, 1)
+	e.planeAdm.probeHook = func() {
+		e.planeAdm.probeHook = nil
+		go func() {
+			routeDone <- e.AddRoute(model.Route{ID: 4242, Stops: []model.StopID{801, 802}, Pts: []geo.Point{geo.Pt(3, 3), geo.Pt(40, 40)}})
+		}()
+		for e.structMu.TryRLock() { // fails once the writer is queued
+			e.structMu.RUnlock()
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if e.setPlane(7) || e.idx.RadiusK() != 5 {
+		t.Fatalf("a build the route set changed under was installed (plane k=%d)", e.idx.RadiusK())
+	}
+	if err := <-routeDone; err != nil {
+		t.Fatal(err)
+	}
+	e.rlockAll()
+	err = e.idx.CheckRadii()
+	e.runlockAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRadiusPlaneOtherKFallsBack: with the plane at one k, queries at it
+// are served by descent and every other k by the paper's pipeline —
+// correctly, before and after writes and a route change — and the plane
+// stays exact throughout.
+func TestRadiusPlaneOtherKFallsBack(t *testing.T) {
+	e, rng := seededEngine(t, 2, 300)
+	if !e.setPlane(3) {
+		t.Fatal("build abandoned")
+	}
+	q := randomQuery(rng)
+	round := func(label string) {
+		t.Helper()
+		for _, k := range []int{1, 2, 3, 4, 5} {
+			for _, sem := range []core.Semantics{core.Exists, core.ForAll} {
+				o := core.Options{K: k, Semantics: sem}
+				res, err := e.RkNNT(q, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := bruteForce(t, e, q, o); !sameIDs(res.Transitions, want) {
+					t.Fatalf("%s k=%d %v: %v, want %v", label, k, sem, res.Transitions, want)
+				}
+				if !res.Cached && !res.Repaired && res.Stats.Plane != (k == 3) {
+					t.Fatalf("%s k=%d: plane path %v", label, k, res.Stats.Plane)
+				}
+			}
+		}
+	}
+	round("cold")
+	for i := 0; i < 40; i++ {
+		tr := model.Transition{ID: model.TransitionID(5000 + i), O: q[i%2], D: geo.Pt(rng.Float64()*50, rng.Float64()*50)}
+		if err := e.AddTransition(tr); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if _, err := e.RemoveTransition(model.TransitionID(1 + i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round("after writes")
+	if err := e.AddRoute(model.Route{ID: 777, Stops: []model.StopID{901, 902}, Pts: []geo.Point{q[0], q[1]}}); err != nil {
+		t.Fatal(err)
+	}
+	round("after a route change")
+	e.rlockAll()
+	err := e.idx.CheckRadii()
+	e.runlockAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.idx.RadiusK() != 3 {
+		t.Fatalf("the plane moved to k=%d under 30 queries", e.idx.RadiusK())
+	}
+}
+
+// TestPrecomputeUsesPlane: a plan's precompute does not earn its k the
+// plane (one request carries a query per vertex), descends the plane
+// once single queries have earned it, and the per-vertex RkNNT sets are
+// the brute force's either way.
+func TestPrecomputeUsesPlane(t *testing.T) {
+	city, x := smallCity(t)
+	e := New(x, Options{Network: city.Graph})
+	defer e.Close()
+	check := func(label string) {
+		t.Helper()
+		pre, err := e.precomputed(3, core.DivideConquer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, got := range pre.Masks {
+			want, err := core.EndpointMasks(e.idx, []geo.Point{city.Graph.Point(int32(v))}, 3, core.BruteForce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, vertex %d: masks %v, brute force %v", label, v, got, want)
+			}
+		}
+	}
+	check("pipeline")
+	e.planeAdm.mu.Lock()
+	building := e.planeAdm.building
+	e.planeAdm.mu.Unlock()
+	if building || e.idx.RadiusK() != 0 {
+		t.Fatalf("a precompute started a plane build (building=%v, plane k=%d)", building, e.idx.RadiusK())
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < planeAdmitAfter; i++ {
+		ask(t, e, rng, core.Options{K: 3})
+	}
+	waitPlane(t, e, 3)
+	if err := e.AddTransition(model.Transition{ID: 70_000, O: city.Graph.Point(0), D: city.Graph.Point(5)}); err != nil {
+		t.Fatal(err)
+	}
+	check("plane") // the write staled the entry: this one recomputes, by descent
+	if builds := e.mx.planeBuild.Snapshot().Count; builds != 1 {
+		t.Fatalf("%d plane builds, want 1", builds)
+	}
+}
+
+// answerOf builds a cache value holding n result IDs.
+func answerOf(n int) *cachedQuery {
+	return &cachedQuery{
+		res:   &QueryResult{Transitions: make([]model.TransitionID, n)},
+		query: make([]geo.Point, 5),
+	}
+}
+
+// TestCacheByteBudget: never-repeating 1 500-ID answers hold the budget
+// however many arrive, a single answer over the whole budget is still
+// cached (alone), and repairs that grow entries are accounted.
+func TestCacheByteBudget(t *testing.T) {
+	const budget = 1 << 20
+	c := newLRUCache(4096, budget, nil, nil)
+	per := entryBytes("k0000", answerOf(1500))
+	for i := 0; i < 2000; i++ {
+		c.Put(fmt.Sprintf("k%04d", i), answerOf(1500))
+		if c.bytes > budget {
+			t.Fatalf("after %d puts: %d bytes held, budget %d", i+1, c.bytes, budget)
+		}
+	}
+	if want := budget / per; c.Len() != want {
+		t.Fatalf("%d entries of %d bytes under a %d budget, want %d", c.Len(), per, budget, want)
+	}
+	if _, ok := c.Get("k1999"); !ok {
+		t.Fatal("newest entry evicted")
+	}
+	if _, ok := c.Get("k0000"); ok {
+		t.Fatal("oldest entry survived 2000 never-repeating puts")
+	}
+
+	// One answer larger than the budget: served and cached alone.
+	c.Put("huge", answerOf(budget))
+	if v, ok := c.Get("huge"); !ok || len(v.(*cachedQuery).res.Transitions) != budget || c.Len() != 1 {
+		t.Fatalf("over-budget answer: cached=%v, %d entries", ok, c.Len())
+	}
+	c.Put("small", answerOf(10))
+	if _, ok := c.Get("small"); !ok || c.Len() != 1 {
+		t.Fatalf("after the over-budget answer aged out: %d entries", c.Len())
+	}
+
+	// A CAS repair that grows an entry is re-accounted and evicts.
+	c.Purge()
+	if c.bytes != 0 {
+		t.Fatalf("%d bytes after Purge", c.bytes)
+	}
+	olds := make([]*cachedQuery, 100)
+	for i := range olds {
+		olds[i] = answerOf(1500)
+		c.Put(fmt.Sprintf("r%03d", i), olds[i])
+	}
+	before := c.bytes
+	c.Update("r099", olds[99], answerOf(3000))
+	if c.bytes != before+4*1500 {
+		t.Fatalf("Update accounted %d bytes, want %d", c.bytes-before, 4*1500)
+	}
+	c.RepairAll(func(v any) any { return answerOf(2 * len(v.(*cachedQuery).res.Transitions)) })
+	sum := 0
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		sum += el.Value.(*lruEntry).bytes
+	}
+	if c.bytes != sum || c.bytes > budget {
+		t.Fatalf("after RepairAll: %d accounted, %d held, budget %d", c.bytes, sum, budget)
+	}
+
+	// The sharded cache splits the fixed total across its ways.
+	sc := newShardedCache(4096, 8, nil, nil)
+	for _, s := range sc.shards {
+		if s.budget != cacheByteBudget/8 {
+			t.Fatalf("way budget %d, want %d", s.budget, cacheByteBudget/8)
+		}
+	}
+}

@@ -21,7 +21,7 @@ import (
 //
 //	PointRouteDist2(t, Q) <= r²_k(t)
 //
-// where r²_k(t) = core.RankRadius2 depends on the endpoint, k and the
+// where r²_k(t) = index.RankRadius2 depends on the endpoint, k and the
 // route set but not on Q. The journal batch that recorded the add
 // memoises the radii (journal.go), so an arriving transition costs two
 // RR-tree probes per k in use — paid by the first stale read that

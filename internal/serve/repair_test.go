@@ -229,11 +229,26 @@ func TestRepairBudgetFallsBackToPurge(t *testing.T) {
 // replays race to fill the batch's radius memo. Every repaired answer
 // must equal a fresh computation, and the memo must have been filled
 // once per k — two RR-tree probes per added transition per k, however
-// many entries replayed it. Run with -race.
+// many entries replayed it. With the radius plane at one of the two k the
+// committing writer pays that k's probes and hands the radii to the
+// batch, so the replays probe only for the other; with no plane the first
+// replays fill the memo lazily for both, as before planes. Run with -race.
 func TestRepairConcurrentSharedBatch(t *testing.T) {
+	t.Run("plane", func(t *testing.T) { testRepairConcurrentSharedBatch(t, true) })
+	t.Run("lazy", func(t *testing.T) { testRepairConcurrentSharedBatch(t, false) })
+}
+
+func testRepairConcurrentSharedBatch(t *testing.T, plane bool) {
 	e := New(shardedTestIndex(t, 2), Options{})
 	defer e.Close()
 	rng := rand.New(rand.NewSource(41))
+	indexed := 0
+	if plane {
+		if !e.setPlane(2) {
+			t.Fatal("plane build abandoned")
+		}
+		indexed = 1
+	}
 	seedTs := make([]model.Transition, 40)
 	for i := range seedTs {
 		seedTs[i] = model.Transition{
@@ -252,7 +267,7 @@ func TestRepairConcurrentSharedBatch(t *testing.T) {
 		opts core.Options
 	}
 	var reads []read
-	for i := 0; i < 16; i++ {
+	for i := 0; i < planeAdmitAfter-1; i++ { // one short of earning k a plane
 		q := []geo.Point{geo.Pt(rng.Float64()*50, rng.Float64()*50), geo.Pt(rng.Float64()*50, rng.Float64()*50)}
 		reads = append(reads, read{q, core.Options{K: 2}}, read{q, core.Options{K: 5, Semantics: core.Semantics(i % 2)}})
 	}
@@ -275,6 +290,7 @@ func TestRepairConcurrentSharedBatch(t *testing.T) {
 		s := e.idx.HomeShard(tr.ID)
 		adds[s] = append(adds[s], writeOp{kind: opAddTransition, t: tr, done: make(chan opResult, 1)})
 	}
+	probesBefore := e.mx.radiusProbes.Load()
 	for s, batch := range adds {
 		e.pipes[s].applyShard(batch)
 		for _, op := range batch {
@@ -283,7 +299,10 @@ func TestRepairConcurrentSharedBatch(t *testing.T) {
 			}
 		}
 	}
-	probesBefore := e.mx.radiusProbes.Load()
+	if got, want := e.mx.radiusProbes.Load()-probesBefore, uint64(24*2*indexed); got != want {
+		t.Errorf("%d radius probes committing 24 adds with %d plane(s), want %d", got, indexed, want)
+	}
+	probesBefore = e.mx.radiusProbes.Load()
 	repairsBefore := e.EngineStats().CacheRepairs
 
 	var wg sync.WaitGroup
@@ -317,7 +336,9 @@ func TestRepairConcurrentSharedBatch(t *testing.T) {
 	if got := e.EngineStats().CacheRepairs - repairsBefore; got != uint64(len(reads)) {
 		t.Errorf("%d repairs for %d stale reads", got, len(reads))
 	}
-	if got, want := e.mx.radiusProbes.Load()-probesBefore, uint64(24*2*2); got != want {
-		t.Errorf("%d radius probes for 24 adds at 2 k values, want %d: the memo was not shared", got, want)
+	// The memo is filled once per k without a plane; the plane's k came
+	// filled from the writer.
+	if got, want := e.mx.radiusProbes.Load()-probesBefore, uint64(24*2*(2-indexed)); got != want {
+		t.Errorf("%d radius probes replaying 24 adds at 2 k values, want %d", got, want)
 	}
 }

@@ -31,8 +31,8 @@ type resultCache interface {
 // semantics — CAS updates, repair-or-evict walks, LRU eviction — so the
 // journal-replay repair invariants carry over shard-locally; what
 // changes is only that eviction pressure is per shard rather than
-// global (capacity is split evenly), and that operations on different
-// shards no longer contend.
+// global (entry capacity and the byte budget are both split evenly), and
+// that operations on different shards no longer contend.
 type shardedCache struct {
 	shards []*lruCache
 	mask   uint32
@@ -54,7 +54,7 @@ func newShardedCache(capacity, nshards int, hits, misses *obs.Counter) *shardedC
 	}
 	c := &shardedCache{shards: make([]*lruCache, n), mask: uint32(n - 1)}
 	for i := range c.shards {
-		c.shards[i] = newLRUCache(per, hits, misses)
+		c.shards[i] = newLRUCache(per, cacheByteBudget/n, hits, misses)
 	}
 	return c
 }

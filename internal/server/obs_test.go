@@ -95,42 +95,65 @@ func grepLines(body, substr string) string {
 }
 
 // TestRkNNTTrace checks that ?trace=1 returns the per-stage span
-// breakdown and that the cached path reports a cache_hit event.
+// breakdown — one "descent" span when the k has a radius plane, the
+// pipeline's filter/prune/verify spans when it does not — and that the
+// cached path reports a cache_hit event.
 func TestRkNNTTrace(t *testing.T) {
-	s, _ := newTestServer(t, model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)})
+	s, e := newTestServer(t, model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)})
 
-	w := doJSON(t, s, "POST", "/v1/rknnt?trace=1", rknntRequest{Query: y0Query, K: 1})
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body)
-	}
-	resp := decodeBody[rknntResponse](t, w)
-	if resp.Trace == nil {
-		t.Fatal("no trace in response despite ?trace=1")
-	}
-	spans := make(map[string]bool)
-	prune := false
-	for _, sp := range resp.Trace.Spans {
-		spans[sp.Name] = true
-		if strings.HasPrefix(sp.Name, "prune/s") {
-			prune = true
+	traced := func(q []PointDTO, k int) map[string]bool {
+		t.Helper()
+		w := doJSON(t, s, "POST", "/v1/rknnt?trace=1", rknntRequest{Query: q, K: k})
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
 		}
-		if sp.DurMicros < 0 || sp.StartMicros < 0 {
-			t.Errorf("span %+v has negative timing", sp)
+		resp := decodeBody[rknntResponse](t, w)
+		if resp.Trace == nil {
+			t.Fatal("no trace in response despite ?trace=1")
+		}
+		spans := make(map[string]bool)
+		for _, sp := range resp.Trace.Spans {
+			spans[sp.Name] = true
+			if strings.HasPrefix(sp.Name, "prune/s") {
+				spans["prune"] = true
+			}
+			if sp.DurMicros < 0 || sp.StartMicros < 0 {
+				t.Errorf("span %+v has negative timing", sp)
+			}
+		}
+		return spans
+	}
+	pipeline := func(label string, spans map[string]bool) {
+		t.Helper()
+		for _, want := range []string{"cache", "filter", "verify", "prune"} {
+			if !spans[want] || spans["descent"] {
+				t.Errorf("%s: span %q missing or descent present; got %v", label, want, spans)
+			}
 		}
 	}
-	for _, want := range []string{"cache", "filter", "verify"} {
-		if !spans[want] {
-			t.Errorf("span %q missing; got %v", want, resp.Trace.Spans)
+	// No k has a radius plane yet: the paper's pipeline answers.
+	pipeline("first query", traced(y0Query, 1))
+	// Traffic at k=1 earns it the plane, built in the background; from
+	// then on a query at k=1 is one descent and k=2 still the pipeline.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; e.EngineStats().RadiusPlaneK != 1; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("no radius plane for k=1 after %d queries", i)
+		}
+		q := []PointDTO{{X: 1, Y: float64(i) / 64}, {X: 9, Y: 0}}
+		if w := doJSON(t, s, "POST", "/v1/rknnt", rknntRequest{Query: q, K: 1}); w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
 		}
 	}
-	if !prune {
-		t.Errorf("no prune/s<N> shard span; got %v", resp.Trace.Spans)
+	if spans := traced([]PointDTO{{X: 2, Y: 0}, {X: 8, Y: 0}}, 1); !spans["cache"] || !spans["descent"] || spans["filter"] || spans["verify"] {
+		t.Errorf("k=1 (plane): spans %v, want cache + descent only", spans)
 	}
+	pipeline("k without the plane", traced(y0Query, 2))
 
 	// Cached repeat: trace still present, with a cache_hit event and no
 	// pipeline spans beyond the cache lookup.
-	w = doJSON(t, s, "POST", "/v1/rknnt?trace=1", rknntRequest{Query: y0Query, K: 1})
-	resp = decodeBody[rknntResponse](t, w)
+	w := doJSON(t, s, "POST", "/v1/rknnt?trace=1", rknntRequest{Query: y0Query, K: 1})
+	resp := decodeBody[rknntResponse](t, w)
 	if resp.Trace == nil {
 		t.Fatal("no trace on cached response")
 	}

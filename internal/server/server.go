@@ -154,7 +154,12 @@ func (s *Server) handleRkNNT(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("trace") == "1" {
 		opts.Trace = obs.NewTrace()
 	}
-	res, err := s.engine.RkNNT(toPoints(req.Query), opts)
+	query, err := toPoints(req.Query)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	res, err := s.engine.RkNNT(query, opts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -211,7 +216,10 @@ func (s *Server) handleRkNNTBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d needs at least 2 points, got %d", i, len(q)))
 			return
 		}
-		queries[i] = toPoints(q)
+		if queries[i], err = toPoints(q); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
+			return
+		}
 	}
 	results, err := s.engine.RkNNTBatch(queries, opts)
 	if err != nil {
@@ -246,7 +254,12 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ids, err := s.engine.KNNRoutes(req.Point.point(), req.K)
+	pt, err := req.Point.point()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	ids, err := s.engine.KNNRoutes(pt, req.K)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -339,7 +352,13 @@ func (s *Server) handleAddTransitions(w http.ResponseWriter, r *http.Request) {
 	}
 	ts := make([]model.Transition, len(req.Transitions))
 	for i, dto := range req.Transitions {
-		ts[i] = model.Transition{ID: dto.ID, O: dto.O.point(), D: dto.D.point(), Time: dto.Time}
+		o, errO := dto.O.point()
+		d, errD := dto.D.point()
+		if err := errors.Join(errO, errD); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("transition %d: %w", dto.ID, err))
+			return
+		}
+		ts[i] = model.Transition{ID: dto.ID, O: o, D: d, Time: dto.Time}
 	}
 	resp := addTransitionsResponse{}
 	for i, err := range s.engine.AddTransitions(ts) {
@@ -400,7 +419,12 @@ func (s *Server) handleAddRoutes(w http.ResponseWriter, r *http.Request) {
 	}
 	rs := make([]model.Route, len(req.Routes))
 	for i, dto := range req.Routes {
-		rs[i] = model.Route{ID: dto.ID, Stops: dto.Stops, Pts: toPoints(dto.Pts)}
+		pts, err := toPoints(dto.Pts)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("route %d: %w", dto.ID, err))
+			return
+		}
+		rs[i] = model.Route{ID: dto.ID, Stops: dto.Stops, Pts: pts}
 	}
 	errs, recompute := s.engine.AddRoutes(rs)
 	if recompute != nil {

@@ -469,6 +469,36 @@ func TestWatchSSE(t *testing.T) {
 	}
 }
 
+// TestNonFiniteCoordinates: 1e200 is valid JSON and a valid float64 but
+// squares to +Inf; every decoder that takes a coordinate answers 400 and
+// nothing reaches the index.
+func TestNonFiniteCoordinates(t *testing.T) {
+	s, e := newTestServer(t)
+	before := e.EngineStats()
+	for _, tc := range []struct{ method, path, body string }{
+		{"POST", "/v1/rknnt", `{"query":[{"x":0,"y":0},{"x":1e200,"y":0}],"k":1}`},
+		{"POST", "/v1/rknnt", `{"query":[{"x":0,"y":-1e151},{"x":1,"y":0}],"k":1,"method":"bf"}`},
+		{"POST", "/v1/rknnt/batch", `{"queries":[[{"x":0,"y":0},{"x":1,"y":0}],[{"x":0,"y":0},{"x":0,"y":1e300}]],"k":1}`},
+		{"POST", "/v1/knn", `{"point":{"x":1e200,"y":0},"k":1}`},
+		{"POST", "/v1/transitions", `{"transitions":[{"id":1,"o":{"x":0,"y":0},"d":{"x":1,"y":1}},{"id":2,"o":{"x":1e200,"y":0},"d":{"x":1,"y":1}}]}`},
+		{"POST", "/v1/routes", `{"routes":[{"id":9,"stops":[50,51],"pts":[{"x":0,"y":0},{"x":0,"y":-1e200}]}]}`},
+	} {
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400 (%s)", tc.method, tc.path, w.Code, w.Body)
+		}
+	}
+	if after := e.EngineStats(); after.Transitions != before.Transitions || after.Routes != before.Routes || after.Epoch != before.Epoch {
+		t.Errorf("a rejected request changed the index: %+v -> %+v", before.EpochVector, after.EpochVector)
+	}
+	// The largest accepted magnitude still answers.
+	if w := doJSON(t, s, "POST", "/v1/rknnt", rknntRequest{Query: []PointDTO{{X: 1e150, Y: -1e150}, {X: 0, Y: 0}}, K: 1}); w.Code != http.StatusOK {
+		t.Errorf("boundary coordinate: status %d (%s)", w.Code, w.Body)
+	}
+}
+
 func TestWatchErrors(t *testing.T) {
 	s, _ := newTestServer(t)
 	for _, path := range []string{
@@ -479,6 +509,8 @@ func TestWatchErrors(t *testing.T) {
 		"/v1/watch?p=0,0&p=10,0",                  // missing k
 		"/v1/watch?p=0,0&p=10,0&k=0",              // k < 1
 		"/v1/watch?p=0,0&p=10,0&k=1&semantics=zz", // bad semantics
+		"/v1/watch?p=0,0&p=1e200,0&k=1",           // square overflows
+		"/v1/watch?p=NaN,0&p=1,0&k=1",             // NaN parses as a float
 	} {
 		if w := doJSON(t, s, "GET", path, nil); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", path, w.Code)

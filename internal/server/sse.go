@@ -139,7 +139,9 @@ func parseQueryPoints(parts []string) ([]geo.Point, error) {
 		if errX != nil || errY != nil {
 			return nil, fmt.Errorf("bad point %q (want \"x,y\")", part)
 		}
-		pts[i] = geo.Pt(x, y)
+		if pts[i] = geo.Pt(x, y); !pts[i].Finite() {
+			return nil, fmt.Errorf("coordinate out of range in %q, need |v| <= %g", part, geo.MaxCoord)
+		}
 	}
 	return pts, nil
 }

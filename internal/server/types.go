@@ -17,14 +17,26 @@ type PointDTO struct {
 	Y float64 `json:"y"`
 }
 
-func (p PointDTO) point() geo.Point { return geo.Pt(p.X, p.Y) }
+// point converts a decoded point, rejecting coordinates whose squares are
+// not finite (geo.MaxCoord): 1e200 is valid JSON but squares to +Inf, and
+// every distance comparison downstream assumes finite numbers.
+func (p PointDTO) point() (geo.Point, error) {
+	pt := geo.Pt(p.X, p.Y)
+	if !pt.Finite() {
+		return pt, fmt.Errorf("coordinate out of range: (%g, %g), need |v| <= %g", p.X, p.Y, geo.MaxCoord)
+	}
+	return pt, nil
+}
 
-func toPoints(dto []PointDTO) []geo.Point {
+func toPoints(dto []PointDTO) ([]geo.Point, error) {
 	pts := make([]geo.Point, len(dto))
 	for i, p := range dto {
-		pts[i] = p.point()
+		var err error
+		if pts[i], err = p.point(); err != nil {
+			return nil, err
+		}
 	}
-	return pts
+	return pts, nil
 }
 
 func fromPoints(pts []geo.Point) []PointDTO {
