@@ -58,7 +58,6 @@ func main() {
 	synN := flag.Int("syn", 100000, "transition count for the syn preset")
 	cacheSize := flag.Int("cache", 4096, "query-result LRU capacity")
 	cacheShards := flag.Int("cache-shards", 0, "result-cache shard count (rounded up to a power of two; 0 = default, 1 = legacy single-mutex LRU)")
-	coalesce := flag.Bool("coalesce", false, "micro-batch singleton queries: cache misses wait up to the adaptive window to share one traversal")
 	maxBatch := flag.Int("max-batch", 256, "max writes coalesced per batch")
 	saveIndex := flag.String("save-index", "", "write an arena index snapshot here once the indexes are ready")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -108,7 +107,6 @@ func main() {
 	opts := serve.Options{
 		CacheSize:     *cacheSize,
 		CacheShards:   *cacheShards,
-		Coalesce:      *coalesce,
 		MaxBatch:      *maxBatch,
 		Network:       g,
 		VertexOf:      vertexOf,

@@ -115,7 +115,7 @@ var order = []string{
 	"table2", "table3", "fig6", "fig8", "fig17",
 	"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 	"table5", "fig18", "fig19", "fig20", "fig21",
-	"ablation", "coldstart", "shardwrites", "shardscale", "batchscale",
+	"ablation", "coldstart", "shardwrites", "shardscale",
 }
 
 // IDs returns all experiment IDs in paper order.
@@ -169,6 +169,5 @@ func (s *Suite) registry() map[string]func() (*Table, error) {
 		"coldstart":   s.ColdStart,
 		"shardwrites": s.ShardWrites,
 		"shardscale":  s.ShardScale,
-		"batchscale":  s.BatchScale,
 	}
 }

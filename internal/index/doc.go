@@ -10,15 +10,14 @@
 //
 // # Sharding
 //
-// The TR-tree is split into independent shards (default GOMAXPROCS):
-// transitions are dealt to shards round-robin in STR tile order, so every
-// shard holds a spatially balanced, similar-size subset and parallel
-// traversals fan out with even work. Both endpoints of a transition live
-// in the same shard. Write batches apply to shards concurrently; queries
-// traverse shards independently and merge. Shard membership is sticky: a
-// transition stays on its shard for life, and the assignment (plus the
-// round-robin cursor for future arrivals) is part of the persisted
-// state.
+// The TR-tree is split into independent shards (default GOMAXPROCS).
+// One rule places a transition: shard HomeShard(id), a stable hash of
+// its ID, whether it arrives by bulk load, dynamic add or snapshot (a
+// snapshot placing it anywhere else is refused). Shards therefore hold
+// similar-size subsets, both endpoints of a transition live in the same
+// shard, and every write on one ID finds it — and serialises — on one
+// shard without a placement table. Write batches apply to shards
+// concurrently; queries traverse shards independently and merge.
 //
 // # NList freshness
 //

@@ -41,15 +41,15 @@ type Index struct {
 	rr *rtree.Tree // route points; ID = route, Aux = stop
 
 	// trShards are the TR-tree shards (transition endpoints; ID =
-	// transition, Aux = role). shardOf records each transition's shard;
-	// nextShard is a legacy round-robin cursor kept only for snapshot
-	// format compatibility (dynamic arrivals now route by HomeShard).
+	// transition, Aux = role). A transition's endpoints live in shard
+	// HomeShard(id) however it arrived — bulk load, dynamic add or
+	// snapshot — so no placement table exists. nextShard is a legacy
+	// round-robin cursor kept only for snapshot format compatibility.
 	trShards  []*rtree.Tree
-	shardOf   map[model.TransitionID]int32
 	nextShard int32
 
-	// metaMu guards the bookkeeping shared between shards — transitions,
-	// shardOf and the expiry heap — against concurrent per-shard commits
+	// metaMu guards the bookkeeping shared between shards — transitions
+	// and the expiry heap — against concurrent per-shard commits
 	// (AddBatchToShard / RemoveBatchFromShard on distinct shards may run
 	// at the same time). It does NOT cover the trees or the read paths:
 	// readers must still be excluded from commits externally (the serving
@@ -95,7 +95,6 @@ func BuildOpts(ds *model.Dataset, opts Options) (*Index, error) {
 	x := &Index{
 		routes:      make(map[model.RouteID]*model.Route, len(ds.Routes)),
 		transitions: make(map[model.TransitionID]*model.Transition, len(ds.Transitions)),
-		shardOf:     make(map[model.TransitionID]int32, len(ds.Transitions)),
 		plist:       make(map[model.StopID][]model.RouteID),
 	}
 	var rrEntries []rtree.Entry
@@ -114,7 +113,9 @@ func BuildOpts(ds *model.Dataset, opts Options) (*Index, error) {
 			x.addToPList(cp.Stops[j], cp.ID)
 		}
 	}
-	order := make([]int, 0, len(ds.Transitions))
+	// Bulk load places a transition where every later write will look for
+	// it: its home shard. Each shard is still STR-packed by BulkLoad.
+	shardEntries := make([][]rtree.Entry, opts.TRShards)
 	for i := range ds.Transitions {
 		tr := ds.Transitions[i]
 		if err := validateTransition(&tr); err != nil {
@@ -128,16 +129,7 @@ func BuildOpts(ds *model.Dataset, opts Options) (*Index, error) {
 		if tr.Time != 0 {
 			x.expiry.push(timedEntry{time: tr.Time, id: tr.ID})
 		}
-		order = append(order, i)
-	}
-	// Deal transitions to shards round-robin in STR tile order: every
-	// shard receives a spatially balanced subset of about the same size.
-	strOrderTransitions(ds.Transitions, order)
-	shardEntries := make([][]rtree.Entry, opts.TRShards)
-	for k, i := range order {
-		tr := ds.Transitions[i]
-		s := int32(k % opts.TRShards)
-		x.shardOf[tr.ID] = s
+		s := homeShard(tr.ID, opts.TRShards)
 		shardEntries[s] = append(shardEntries[s],
 			rtree.Entry{Pt: tr.O, ID: tr.ID, Aux: Origin},
 			rtree.Entry{Pt: tr.D, ID: tr.ID, Aux: Destination})
@@ -154,30 +146,6 @@ func BuildOpts(ds *model.Dataset, opts Options) (*Index, error) {
 	}
 	wg.Wait()
 	return x, nil
-}
-
-// strOrderTransitions sorts the index slice `order` into STR tile order
-// of the transitions' origin points: sqrt(n) vertical slices by X, each
-// slice ordered by Y.
-func strOrderTransitions(ts []model.Transition, order []int) {
-	n := len(order)
-	if n < 2 {
-		return
-	}
-	sort.Slice(order, func(a, b int) bool { return ts[order[a]].O.X < ts[order[b]].O.X })
-	sliceCount := 1
-	for sliceCount*sliceCount < n {
-		sliceCount++
-	}
-	perSlice := (n + sliceCount - 1) / sliceCount
-	for i := 0; i < n; i += perSlice {
-		hi := i + perSlice
-		if hi > n {
-			hi = n
-		}
-		part := order[i:hi]
-		sort.Slice(part, func(a, b int) bool { return ts[part[a]].O.Y < ts[part[b]].O.Y })
-	}
 }
 
 func validateRoute(r *model.Route) error {
@@ -385,8 +353,7 @@ func (x *Index) AddTransitionsBatch(ts []model.Transition) []error {
 		}
 		cp := t
 		x.transitions[t.ID] = &cp
-		s := int32(x.HomeShard(t.ID))
-		x.shardOf[t.ID] = s
+		s := x.HomeShard(t.ID)
 		if t.Time != 0 {
 			x.expiry.push(timedEntry{time: t.Time, id: t.ID})
 		}
@@ -417,12 +384,11 @@ func (x *Index) RemoveTransitionsBatch(ids []model.TransitionID) []bool {
 			continue
 		}
 		existed[i] = true
-		s := x.shardOf[id]
+		s := x.HomeShard(id)
 		perShard[s] = append(perShard[s],
 			rtree.Entry{Pt: t.O, ID: t.ID, Aux: Origin},
 			rtree.Entry{Pt: t.D, ID: t.ID, Aux: Destination})
 		delete(x.transitions, id)
-		delete(x.shardOf, id)
 	}
 	x.applyPerShard(perShard, x.deleteEntry)
 	return existed

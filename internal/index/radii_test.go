@@ -47,15 +47,20 @@ func TestRadiusPlaneMaintained(t *testing.T) {
 			}
 			check("after build")
 
+			// The 200 arrivals of one home shard, as a shard pipeline would
+			// commit them.
+			s0 := 0
 			var ts []model.Transition
-			for i := 0; i < 200; i++ {
+			for id := model.TransitionID(10_000); len(ts) < 200; id++ {
+				if x.HomeShard(id) != s0 {
+					continue
+				}
 				ts = append(ts, model.Transition{
-					ID: model.TransitionID(10_000 + i), Time: int64(1 + i%5),
+					ID: id, Time: int64(1 + len(ts)%5),
 					O: geo.Pt(rng.Float64()*100, rng.Float64()*100), D: geo.Pt(rng.Float64()*100, rng.Float64()*100),
 				})
 			}
 			ts = append(ts, ts[0]) // duplicate: rejected, must not disturb the rest
-			s0 := x.HomeShard(ts[0].ID)
 			errs, radii := x.AddBatchToShard(s0, ts)
 			if errs[len(ts)-1] == nil {
 				t.Fatal("duplicate accepted")
@@ -77,7 +82,7 @@ func TestRadiusPlaneMaintained(t *testing.T) {
 			for i := 0; i < 120; i++ {
 				ids = append(ids, ts[i].ID)
 			}
-			if removed, _ := x.RemoveBatchFromShard(s0, ids[:60]); !removed[0] {
+			if removed := x.RemoveBatchFromShard(s0, ids[:60]); !removed[0] {
 				t.Fatal("RemoveBatchFromShard removed nothing")
 			}
 			check("after RemoveBatchFromShard")

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -49,20 +50,46 @@ func TestShardingRoundTrip(t *testing.T) {
 				t.Fatalf("shards=%d: transition %d endpoints split across shards %d and %d", shards, tr.ID, so, sd)
 			}
 		}
-		// Round-robin dealing keeps shard sizes within one transition of
-		// each other at build time.
-		sizes := x.TransitionShardSizes()
-		lo, hi := sizes[0], sizes[0]
-		for _, s := range sizes[1:] {
-			if s < lo {
-				lo = s
-			}
-			if s > hi {
-				hi = s
+		// Home placement is a hash of the ID: a shard's transition count is
+		// binomial(n, 1/shards), so hold it to four standard deviations.
+		n, p := float64(len(ds.Transitions)), 1/float64(shards)
+		slack := 4 * math.Sqrt(n*p*(1-p))
+		for s, size := range x.TransitionShardSizes() {
+			if d := float64(size)/2 - n*p; d < -slack || d > slack {
+				t.Fatalf("shards=%d: shard %d holds %d of %d transitions, want %.0f +/- %.0f",
+					shards, s, size/2, len(ds.Transitions), n*p, slack)
 			}
 		}
-		if hi-lo > 2 {
-			t.Fatalf("shards=%d: occupancy %v unbalanced", shards, sizes)
+	}
+}
+
+// TestBuildPlacesAtHome pins the one placement rule on the bulk-load
+// path: every endpoint of every bulk-loaded transition sits in
+// trShards[HomeShard(id)], where dynamic writes will look for it.
+func TestBuildPlacesAtHome(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	ds := randomDataset(rng, 10, 400)
+	for _, shards := range []int{1, 2, 3, 4, 8} {
+		x, err := BuildOpts(ds, Options{TRShards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		for s, tree := range x.TransitionShards() {
+			for _, e := range tree.All() {
+				seen++
+				if h := x.HomeShard(e.ID); h != s {
+					t.Fatalf("shards=%d: endpoint %d/%d of a bulk-loaded transition sits in shard %d, home is %d", shards, e.ID, e.Aux, s, h)
+				}
+			}
+		}
+		if seen != 2*len(ds.Transitions) {
+			t.Fatalf("shards=%d: %d endpoints indexed, want %d", shards, seen, 2*len(ds.Transitions))
+		}
+		// A bulk-loaded ID is removable through its home shard alone.
+		id := ds.Transitions[0].ID
+		if removed := x.RemoveBatchFromShard(x.HomeShard(id), []model.TransitionID{id}); !removed[0] {
+			t.Fatalf("shards=%d: bulk-loaded transition %d not removable from its home shard", shards, id)
 		}
 	}
 }

@@ -16,40 +16,35 @@ import (
 //     layer holds that shard's write lock) and excludes readers for the
 //     duration (queries hold every shard's read lock).
 //   - Commits to DISTINCT shards may run concurrently: the bookkeeping
-//     they share — the transitions map, the shard assignment table and
-//     the expiry heap — is guarded internally by metaMu. The expensive
-//     part, the R-tree surgery, touches only the committing shard's
-//     tree and runs outside metaMu.
+//     they share — the transitions map and the expiry heap — is
+//     guarded internally by metaMu. The expensive part, the R-tree
+//     surgery, touches only the committing shard's tree and runs
+//     outside metaMu.
 //
-// Dynamic transitions route to HomeShard(id), a stable hash of the ID,
-// so any client of the index can compute the owning pipeline without a
-// lookup. Transitions placed by bulk load or an older snapshot may live
-// elsewhere; ShardOf resolves the committed placement.
+// Every transition lives in HomeShard(id), a stable hash of the ID —
+// bulk load, dynamic adds and snapshot load all place it there — so any
+// client of the index can compute the owning shard, and with it the one
+// write pipeline every op on that ID serialises through, without a
+// lookup.
 
-// HomeShard returns the shard that dynamic writes for id route to: a
-// stable splitmix-style hash of the ID modulo the shard count. Adds
-// commit to their home shard; removes route here first and follow the
-// committed placement (ShardOf) when it differs.
+// HomeShard returns the shard that holds (or would hold) transition id:
+// a stable splitmix-style hash of the ID modulo the shard count.
 func (x *Index) HomeShard(id model.TransitionID) int {
+	return homeShard(id, len(x.trShards))
+}
+
+func homeShard(id model.TransitionID, shards int) int {
 	z := uint64(uint32(id)) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return int(z % uint64(len(x.trShards)))
+	return int(z % uint64(shards))
 }
 
-// ShardOf returns the shard currently holding id, and whether id is
-// indexed at all. Safe to call concurrently with per-shard commits.
-func (x *Index) ShardOf(id model.TransitionID) (int, bool) {
-	x.metaMu.Lock()
-	s, ok := x.shardOf[id]
-	x.metaMu.Unlock()
-	return int(s), ok
-}
-
-// AddBatchToShard indexes ts into shard s. errs[i] is the outcome of
-// ts[i] (duplicate IDs are rejected index-wide, not per shard). The
-// caller must hold shard s's write exclusion and keep readers out;
+// AddBatchToShard indexes ts, every one of which must have home shard
+// s, into that shard. errs[i] is the outcome of ts[i] (a transition
+// homed elsewhere is rejected; duplicate IDs are rejected index-wide).
+// The caller must hold shard s's write exclusion and keep readers out;
 // commits to other shards may proceed concurrently.
 //
 // With a radius plane attached each endpoint is stored with its rank
@@ -65,13 +60,16 @@ func (x *Index) AddBatchToShard(s int, ts []model.Transition) ([]error, AddedRad
 		if errs[i] = validateTransition(&t); errs[i] != nil {
 			continue
 		}
+		if h := x.HomeShard(t.ID); h != s {
+			errs[i] = fmt.Errorf("index: transition %d belongs to shard %d, not %d", t.ID, h, s)
+			continue
+		}
 		if _, dup := x.transitions[t.ID]; dup {
 			errs[i] = fmt.Errorf("index: duplicate transition ID %d", t.ID)
 			continue
 		}
 		cp := t
 		x.transitions[t.ID] = &cp
-		x.shardOf[t.ID] = int32(s)
 		if t.Time != 0 {
 			x.expiry.push(timedEntry{time: t.Time, id: t.ID})
 		}
@@ -98,25 +96,17 @@ func (x *Index) AddBatchToShard(s int, ts []model.Transition) ([]error, AddedRad
 	return errs, radii
 }
 
-// RemoveBatchFromShard removes those of ids that live on shard s.
-// removed[i] reports that ids[i] was present on shard s and is now
-// gone. foreign[i] is the shard that actually holds a still-present
-// ids[i] routed here by a stale placement (-1 otherwise); the caller
-// re-routes those to the owning shard's pipeline. Locking contract as
-// in AddBatchToShard.
-func (x *Index) RemoveBatchFromShard(s int, ids []model.TransitionID) (removed []bool, foreign []int) {
+// RemoveBatchFromShard removes those of ids whose home shard is s.
+// removed[i] reports that ids[i] was present and is now gone; an ID
+// homed on another shard is left alone. Locking contract as in
+// AddBatchToShard.
+func (x *Index) RemoveBatchFromShard(s int, ids []model.TransitionID) (removed []bool) {
 	removed = make([]bool, len(ids))
-	foreign = make([]int, len(ids))
 	entries := make([]rtree.Entry, 0, 2*len(ids))
 	x.metaMu.Lock()
 	for i, id := range ids {
-		foreign[i] = -1
 		t, ok := x.transitions[id]
-		if !ok {
-			continue
-		}
-		if home := x.shardOf[id]; int(home) != s {
-			foreign[i] = int(home)
+		if !ok || x.HomeShard(id) != s {
 			continue
 		}
 		removed[i] = true
@@ -124,20 +114,18 @@ func (x *Index) RemoveBatchFromShard(s int, ids []model.TransitionID) (removed [
 			rtree.Entry{Pt: t.O, ID: t.ID, Aux: Origin},
 			rtree.Entry{Pt: t.D, ID: t.ID, Aux: Destination})
 		delete(x.transitions, id)
-		delete(x.shardOf, id)
 	}
 	x.metaMu.Unlock()
 	if len(entries) > 0 {
 		x.applyShard(s, entries, x.deleteEntry)
 	}
-	return removed, foreign
+	return removed
 }
 
-// RemoveBatchAnyShard removes ids from whichever shards hold them,
-// grouping the tree surgery per shard. perShard[s] lists the IDs
-// removed from shard s; removed[i] reports ids[i] was present. The
-// caller must hold EVERY shard's write exclusion (barrier commits —
-// expiry sweeps, stale-placement cleanup — use this).
+// RemoveBatchAnyShard removes ids from their home shards, grouping the
+// tree surgery per shard. perShard[s] lists the IDs removed from shard
+// s; removed[i] reports ids[i] was present. The caller must hold EVERY
+// shard's write exclusion (barrier commits — expiry sweeps — use this).
 func (x *Index) RemoveBatchAnyShard(ids []model.TransitionID) (removed []bool, perShard [][]model.TransitionID) {
 	removed = make([]bool, len(ids))
 	perShard = make([][]model.TransitionID, len(x.trShards))
@@ -149,13 +137,12 @@ func (x *Index) RemoveBatchAnyShard(ids []model.TransitionID) (removed []bool, p
 			continue
 		}
 		removed[i] = true
-		s := x.shardOf[id]
+		s := x.HomeShard(id)
 		perShard[s] = append(perShard[s], id)
 		entries[s] = append(entries[s],
 			rtree.Entry{Pt: t.O, ID: t.ID, Aux: Origin},
 			rtree.Entry{Pt: t.D, ID: t.ID, Aux: Destination})
 		delete(x.transitions, id)
-		delete(x.shardOf, id)
 	}
 	x.metaMu.Unlock()
 	for s := range entries {

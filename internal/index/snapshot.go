@@ -5,7 +5,8 @@ package index
 //
 // A saved index is the verbatim state of the spatial core: the RR-tree
 // arena (including its NList aggregate), one arena section per TR-tree
-// shard, the shard assignment table and round-robin cursor, the expiry
+// shard, the shard assignment table (a function of the IDs, stored so
+// a reader can cross-check placement) and round-robin cursor, the expiry
 // heap, and the route and transition tables. Loading restores every
 // arena byte-for-byte — same NodeIDs, same free lists, same aggregates —
 // so a booted index answers queries identically to the index that was
@@ -96,7 +97,7 @@ func appendSections(sw *dataio.SectionWriter, x *Index, structural bool, shardCh
 	asn := make([]byte, 0, 8+4*len(ts))
 	asn = binary.LittleEndian.AppendUint64(asn, uint64(len(ts)))
 	for i := range ts {
-		asn = binary.LittleEndian.AppendUint32(asn, uint32(x.shardOf[ts[i].ID]))
+		asn = binary.LittleEndian.AppendUint32(asn, uint32(x.HomeShard(ts[i].ID)))
 	}
 	sw.Section(SecShardAssign, asn)
 
@@ -182,7 +183,6 @@ func SnapshotFromSectionsOpts(secs *dataio.Sections, o LoadOptions) (*Index, err
 	x := &Index{
 		routes:      make(map[model.RouteID]*model.Route, len(ds.Routes)),
 		transitions: make(map[model.TransitionID]*model.Transition, len(ds.Transitions)),
-		shardOf:     make(map[model.TransitionID]int32, len(ds.Transitions)),
 		plist:       make(map[model.StopID][]model.RouteID),
 		nextShard:   nextShard,
 	}
@@ -219,8 +219,12 @@ func SnapshotFromSectionsOpts(secs *dataio.Sections, o LoadOptions) (*Index, err
 		if s < 0 || int(s) >= shardCount {
 			return nil, fmt.Errorf("index: transition %d assigned to shard %d of %d", t.ID, s, shardCount)
 		}
+		// Writes find a transition by hashing its ID; one stored anywhere
+		// else could never be removed.
+		if h := homeShard(t.ID, shardCount); int(s) != h {
+			return nil, fmt.Errorf("index: snapshot places transition %d on shard %d, its home shard is %d: the file predates home placement; rebuild it from the dataset with -save-index", t.ID, s, h)
+		}
 		x.transitions[t.ID] = t
-		x.shardOf[t.ID] = s
 	}
 
 	exp, ok := secs.Lookup(SecExpiry)

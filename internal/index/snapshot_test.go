@@ -2,7 +2,9 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dataio"
@@ -211,5 +213,47 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	flipped[len(flipped)/3] ^= 1
 	if _, err := ReadSnapshot(bytes.NewReader(flipped)); err == nil {
 		t.Error("bit flip accepted")
+	}
+}
+
+// TestSnapshotRejectsForeignPlacement rewrites one shard-assignment
+// entry of a valid snapshot (as a file written before home placement
+// would carry) and expects a clean error naming the remedy: writes find
+// a transition by hashing its ID, so one stored elsewhere could never be
+// removed.
+func TestSnapshotRejectsForeignPlacement(t *testing.T) {
+	x := churnedIndex(t, 7)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, x); err != nil {
+		t.Fatal(err)
+	}
+	secs, err := dataio.ParseSections(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forged bytes.Buffer
+	sw := dataio.NewSectionWriter(&forged)
+	for _, tag := range secs.Tags() {
+		payload, _ := secs.Lookup(tag)
+		if tag == SecShardAssign {
+			payload = append([]byte(nil), payload...)
+			entry := payload[8+4*5:] // the sixth transition's shard
+			s := binary.LittleEndian.Uint32(entry)
+			binary.LittleEndian.PutUint32(entry, (s+1)%uint32(x.NumTransitionShards()))
+		}
+		sw.Section(tag, payload)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, view := range []bool{false, true} {
+		fsecs, err := dataio.ParseSections(forged.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = SnapshotFromSectionsOpts(fsecs, LoadOptions{View: view})
+		if err == nil || !strings.Contains(err.Error(), "home shard") || !strings.Contains(err.Error(), "-save-index") {
+			t.Errorf("view=%v: foreign placement: got %v, want an error naming the home shard and -save-index", view, err)
+		}
 	}
 }

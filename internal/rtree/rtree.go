@@ -194,8 +194,7 @@ func (t *Tree) GatherChildRects(n NodeID, xlo, ylo, xhi, yhi []float64) int {
 // GatherEntryPoints copies the point coordinates of a leaf node's
 // entries into xs/ys (each must have capacity for at least BlockSlots
 // values) and returns the entry count — the leaf-level companion of
-// GatherChildRects, producing a planar block ready for geo.Dist2Block
-// or geo.Dist2MultiBlock.
+// GatherChildRects, producing a planar block ready for geo.Dist2Block.
 func (t *Tree) GatherEntryPoints(n NodeID, xs, ys []float64) int {
 	ents := t.Entries(n)
 	for i, e := range ents {

@@ -42,9 +42,8 @@ type opResult struct {
 // goroutine that drains it. Transition ops route to their shard's
 // pipeline (see pipelineFor), so two shards' batches commit
 // concurrently under disjoint locks. shard == -1 is the barrier
-// pipeline, whose commits span every shard: expiry sweeps, removals
-// whose committed placement disagrees with their routed shard, and —
-// in SinglePipeline mode — everything.
+// pipeline, whose commits span every shard: expiry sweeps and — in
+// SinglePipeline mode — everything.
 type shardPipeline struct {
 	e          *Engine
 	shard      int // -1: barrier
@@ -60,9 +59,6 @@ type shardPipeline struct {
 func (p *shardPipeline) run() {
 	e := p.e
 	defer e.wg.Done()
-	if p.shard >= 0 {
-		defer e.pipesWg.Done()
-	}
 	for {
 		var first writeOp
 		select {
@@ -91,24 +87,9 @@ func (p *shardPipeline) run() {
 }
 
 // quiesce fails everything still queued at Close time with ErrClosed.
-// The barrier pipeline first waits out the shard pipelines, answering
-// their forwarded ops as they arrive: a shard pipeline may still be
-// mid-commit discovering stale-placement removals, and every forward
-// needs a live consumer (see forwardToBarrier).
+// Close has already shut out new submitters, so an empty queue stays
+// empty.
 func (p *shardPipeline) quiesce() {
-	if p.shard < 0 {
-		done := make(chan struct{})
-		go func() { p.e.pipesWg.Wait(); close(done) }()
-		for {
-			select {
-			case op := <-p.ch:
-				op.done <- opResult{err: ErrClosed}
-			case <-done:
-				goto drained
-			}
-		}
-	drained:
-	}
 	for {
 		select {
 		case op := <-p.ch:
@@ -126,12 +107,6 @@ func (p *shardPipeline) quiesce() {
 // standing-delta broadcast happen before the locks release, so deltas
 // reach subscribers in commit order and a reader that observes the new
 // epoch can always replay the journal entry behind it.
-//
-// Removals whose transition turns out to live on a different shard
-// (placed by bulk load or an old snapshot) are not answered here: they
-// forward to the barrier pipeline after the locks release — forwarding
-// while holding shard locks could deadlock against a barrier commit
-// waiting for those same locks.
 func (p *shardPipeline) applyShard(batch []writeOp) {
 	e, s := p.e, p.shard
 	start := time.Now()
@@ -139,8 +114,6 @@ func (p *shardPipeline) applyShard(batch []writeOp) {
 		e.mx.queueWait.RecordDuration(start.Sub(batch[i].enq))
 	}
 	results := make([]opResult, len(batch))
-	forwarded := make([]bool, len(batch))
-	var forwards []writeOp
 	var events []monitor.Event
 	var jAdded, jRemoved []model.TransitionID
 	var memo radiusMemo // radii the index stored for jAdded, at the plane's k
@@ -173,14 +146,9 @@ func (p *shardPipeline) applyShard(batch []writeOp) {
 			for k := range run {
 				ids[k] = run[k].id
 			}
-			removed, foreign := e.idx.RemoveBatchFromShard(s, ids)
+			removed := e.idx.RemoveBatchFromShard(s, ids)
 			events = append(events, e.mon.ApplyRemoves(ids, removed)...)
 			for k := range run {
-				if foreign[k] >= 0 {
-					forwarded[i+k] = true
-					forwards = append(forwards, run[k])
-					continue
-				}
 				results[i+k] = opResult{existed: removed[k]}
 				if removed[k] {
 					jRemoved = append(jRemoved, ids[k])
@@ -207,32 +175,17 @@ func (p *shardPipeline) applyShard(batch []writeOp) {
 	e.mx.commit.RecordDuration(d)
 	p.commitHist.RecordDuration(d)
 	e.mx.batches.Inc()
-	e.mx.batchedOps.Add(uint64(len(batch) - len(forwards)))
+	e.mx.batchedOps.Add(uint64(len(batch)))
 	for i := range batch {
-		if !forwarded[i] {
-			batch[i].done <- results[i]
-		}
+		batch[i].done <- results[i]
 	}
-	for _, op := range forwards {
-		e.forwardToBarrier(op)
-	}
-}
-
-// forwardToBarrier re-routes a stale-placement removal to the barrier
-// pipeline. A plain send is safe: the forwarder holds no locks, and the
-// barrier consumes until every shard pipeline has exited (quiesce), so
-// a live consumer always exists — even during Close, where the op is
-// then answered with ErrClosed.
-func (e *Engine) forwardToBarrier(op writeOp) {
-	e.barrier.ch <- op
 }
 
 // applyBarrier commits a coalesced batch under (structMu.R, every
-// shardMu.W in ascending order): the whole index is quiesced, as
-// expiry sweeps and stale-placement removals may touch any shard. In
-// SinglePipeline mode every mutation comes through here, reproducing
-// the pre-vector-epoch engine: one global write path, eager cache
-// repair inside the commit.
+// shardMu.W in ascending order): the whole index is quiesced, as an
+// expiry sweep may touch any shard. In SinglePipeline mode every
+// mutation comes through here, reproducing the pre-vector-epoch
+// engine: one global write path, eager cache repair inside the commit.
 func (p *shardPipeline) applyBarrier(batch []writeOp) {
 	e := p.e
 	start := time.Now()
@@ -362,12 +315,11 @@ func (p *shardPipeline) applyBarrier(batch []writeOp) {
 	}
 }
 
-// pipelineFor routes an op to its owning pipeline. Adds go to the ID's
-// home shard; removes follow the committed placement when one exists
-// (falling back to the home shard, where a commit-time recheck forwards
-// to the barrier if the placement moved); cross-shard ops (expiry) and
-// everything in SinglePipeline mode go to the barrier. Routing by ID
-// keeps one ID's ops on one queue, preserving their submission order.
+// pipelineFor routes an op to its owning pipeline: adds and removes go
+// to the ID's home shard, which is where the index keeps it; cross-shard
+// ops (expiry) and everything in SinglePipeline mode go to the barrier.
+// Routing by ID keeps one ID's ops on one queue, preserving their
+// submission order.
 func (e *Engine) pipelineFor(op *writeOp) *shardPipeline {
 	if e.opts.SinglePipeline {
 		return e.barrier
@@ -376,9 +328,6 @@ func (e *Engine) pipelineFor(op *writeOp) *shardPipeline {
 	case opAddTransition:
 		return e.pipes[e.idx.HomeShard(op.t.ID)]
 	case opRemoveTransition:
-		if s, ok := e.idx.ShardOf(op.id); ok {
-			return e.pipes[s]
-		}
 		return e.pipes[e.idx.HomeShard(op.id)]
 	default:
 		return e.barrier

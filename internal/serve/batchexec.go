@@ -11,12 +11,12 @@ import (
 // RkNNTBatch answers a batch of RkNNT queries sharing one option set
 // against a single snapshot. Each query is served exactly as RkNNT
 // would serve it — cache probe, journal repair of stale hits,
-// intra-batch dedup of identical queries — but every cache miss in the
-// batch executes together through core.BatchRkNNT: one snapshot, with
-// the radius-plane descents fanned across workers (or, at a k without a
-// plane, the grouped pipeline traversal). results[i] answers queries[i].
+// intra-batch dedup of identical queries — and the cache misses execute
+// through core.BatchRkNNT: concurrent single queries, each a plane
+// descent or the pipeline as its k decides. results[i] answers
+// queries[i].
 //
-// The batch executes under one read-lock acquisition, so every miss is
+// The misses execute under one read-lock acquisition, so every one is
 // answered at the same epoch vector. An execution error (invalid
 // options, an empty query) fails the whole batch: the option set is
 // shared, so option errors would fail every query anyway, and a
@@ -37,6 +37,7 @@ func (e *Engine) RkNNTBatch(queries [][]geo.Point, opts core.Options) ([]*QueryR
 	keys := make([]string, len(queries))
 	missOf := make(map[string]int, len(queries))
 	var execIdx []int
+	var execQs [][]geo.Point
 	for i, q := range queries {
 		key := queryKey(q, opts)
 		keys[i] = key
@@ -57,11 +58,34 @@ func (e *Engine) RkNNTBatch(queries [][]geo.Point, opts core.Options) ([]*QueryR
 		}
 		missOf[key] = i
 		execIdx = append(execIdx, i)
+		execQs = append(execQs, q)
 	}
 	if len(execIdx) > 0 {
-		if err := e.executeBatch(keys, queries, execIdx, opts, out); err != nil {
+		idsAll, statsAll, vec, err := func() ([][]model.TransitionID, []*core.Stats, EpochVec, error) {
+			e.rlockAll()
+			defer e.runlockAll()
+			ids, stats, err := core.BatchRkNNT(e.idx, execQs, opts)
+			// Exact under the read locks: no commit is in flight.
+			return ids, stats, e.epochVecQuiescent(), err
+		}()
+		if err != nil {
 			return nil, err
 		}
+		for i, qi := range execIdx {
+			stats := statsAll[i]
+			e.mx.addQueryTotals(stats)
+			e.repairTune.ObserveRecompute(stats.Total())
+			// The batch's results share one (immutable) epoch vector.
+			res := &QueryResult{Transitions: idsAll[i], Stats: *stats, Epoch: vec.Sum(), Epochs: vec}
+			e.cache.Put(keys[qi], &cachedQuery{
+				res:     res,
+				query:   append([]geo.Point(nil), queries[qi]...),
+				opts:    opts,
+				touched: stats.ShardsTouched,
+			})
+			out[qi] = res
+		}
+		e.mx.batchExecuted.Add(uint64(len(execIdx)))
 	}
 	// Intra-batch duplicates adopt the first occurrence's freshly
 	// executed result, the same sharing the flight group gives identical
@@ -76,45 +100,4 @@ func (e *Engine) RkNNTBatch(queries [][]geo.Point, opts core.Options) ([]*QueryR
 	}
 	e.mx.batchLatency.RecordDuration(time.Since(t0))
 	return out, nil
-}
-
-// executeBatch runs the cache-missing subset of a batch (execIdx into
-// queries/keys) through core.BatchRkNNT under one read-lock hold,
-// caches each result and writes it to out. Callers have already probed
-// the cache for every execIdx member and deduplicated identical keys.
-func (e *Engine) executeBatch(keys []string, queries [][]geo.Point, execIdx []int, opts core.Options, out []*QueryResult) error {
-	execQs := make([][]geo.Point, len(execIdx))
-	for i, qi := range execIdx {
-		execQs[i] = queries[qi]
-	}
-	t0 := time.Now()
-	idsAll, statsAll, vec, err := func() ([][]model.TransitionID, []*core.Stats, EpochVec, error) {
-		e.rlockAll()
-		defer e.runlockAll()
-		ids, stats, err := core.BatchRkNNT(e.idx, execQs, opts)
-		// Exact under the read locks: no commit is in flight.
-		return ids, stats, e.epochVecQuiescent(), err
-	}()
-	if err != nil {
-		return err
-	}
-	for i, qi := range execIdx {
-		stats := statsAll[i]
-		e.mx.addQueryTotals(stats)
-		e.repairTune.ObserveRecompute(stats.Total())
-		// The batch's results share one (immutable) epoch vector.
-		res := &QueryResult{Transitions: idsAll[i], Stats: *stats, Epoch: vec.Sum(), Epochs: vec}
-		e.cache.Put(keys[qi], &cachedQuery{
-			res:     res,
-			query:   append([]geo.Point(nil), queries[qi]...),
-			opts:    opts,
-			touched: stats.ShardsTouched,
-		})
-		out[qi] = res
-	}
-	e.mx.batchExecuted.Add(uint64(len(execIdx)))
-	// Feed the coalescer's window model the marginal per-query cost of
-	// batched execution.
-	e.coal.observeExec(time.Since(t0), len(execIdx))
-	return nil
 }

@@ -96,6 +96,103 @@ func TestRkNNTBatchEdges(t *testing.T) {
 	}
 }
 
+// TestRkNNTBatchOneEpochUnderWrites runs batches while a writer adds
+// transitions one call at a time — one commit each, so shard s's epoch
+// counts the writer's arrivals homed on s and a vector names a live set
+// exactly. Every member of one batch must report the same vector, and
+// its answer must equal brute force over the transitions live at it.
+func TestRkNNTBatchOneEpochUnderWrites(t *testing.T) {
+	city, _ := testCity(t)
+	const shards = 4
+	x, err := index.BuildOpts(city.Dataset, index.Options{TRShards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(x, Options{})
+	defer e.Close()
+	oracle, err := index.BuildOpts(city.Dataset, index.Options{TRShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(73))
+	arrivals := make([][]model.Transition, shards) // by home shard, in commit order
+	var order []model.Transition
+	for i := 0; i < 16; i++ {
+		q := city.Query(rng, 2, 3)
+		a := model.Transition{ID: model.TransitionID(1_000_000 + i), O: q[0], D: q[1]}
+		order = append(order, a)
+		home := x.HomeShard(a.ID)
+		arrivals[home] = append(arrivals[home], a)
+	}
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		for _, a := range order {
+			if err := e.AddTransition(a); err != nil {
+				t.Errorf("add %d: %v", a.ID, err)
+			}
+		}
+	}()
+
+	type answered struct {
+		queries [][]geo.Point
+		results []*QueryResult
+	}
+	var batches []answered
+	opts := core.Options{K: 4}
+	for writing := true; writing || len(batches) < 3; {
+		select {
+		case <-written:
+			writing = false
+		default:
+		}
+		queries := make([][]geo.Point, 4)
+		for i := range queries[:3] {
+			queries[i] = city.Query(rng, 2+rng.Intn(3), 3) // never repeats: executed
+		}
+		queries[3] = queries[1] // adopts member 1's result
+		results, err := e.RkNNTBatch(queries, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if r.Cached || r.Shared != (i == 3) {
+				t.Fatalf("member %d: cached=%v shared=%v", i, r.Cached, r.Shared)
+			}
+			if !r.Epochs.Equal(results[0].Epochs) {
+				t.Fatalf("one batch, two snapshots: member %d at %v, member 0 at %v", i, r.Epochs, results[0].Epochs)
+			}
+		}
+		batches = append(batches, answered{queries, results})
+	}
+
+	// Batches ran one after another, so their vectors only grow: bring the
+	// oracle forward to each in turn.
+	t.Logf("%d batches, first at epoch %d, last at epoch %d of %d", len(batches),
+		batches[0].results[0].Epoch, batches[len(batches)-1].results[0].Epoch, len(order))
+	applied := make([]int, shards)
+	for b, ans := range batches {
+		vec := ans.results[0].Epochs
+		for s := range applied {
+			for ; applied[s] < int(vec.Shards[s]); applied[s]++ {
+				if err := oracle.AddTransition(arrivals[s][applied[s]]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i, q := range ans.queries {
+			want, _, err := core.RkNNT(oracle, q, core.Options{K: opts.K, Method: core.BruteForce})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ans.results[i].Transitions; !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("batch %d member %d at %v: %v, brute force %v", b, i, vec, got, want)
+			}
+		}
+	}
+}
+
 // TestShardedCacheChurnMatchesOracle drives the default sharded-cache
 // engine and a recompute-everything oracle (single-mutex legacy cache,
 // PurgeOnWrite) through identical write churn, comparing every query's
@@ -227,86 +324,6 @@ func TestShardedCacheChurnMatchesOracle(t *testing.T) {
 		if sum != s.CacheEntries {
 			t.Fatalf("shard entry counts sum to %d, CacheEntries %d", sum, s.CacheEntries)
 		}
-	}
-}
-
-// TestCoalescedMatchesSingle checks the coalescer end to end: with a
-// forced wide window, concurrent cache-missing singletons merge into
-// micro-batches whose answers must match fresh core computations.
-func TestCoalescedMatchesSingle(t *testing.T) {
-	city, x := testCity(t)
-	e := New(x, Options{Coalesce: true, CoalesceMaxBatch: 8})
-	defer e.Close()
-	x2, err := index.Build(city.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed the window model so the gather window clamps to its maximum:
-	// concurrent enqueues below reliably land in one group.
-	ewmaStore(&e.coal.perQuery, 1.0)
-
-	rng := rand.New(rand.NewSource(59))
-	opts := core.Options{K: 5, Method: core.DivideConquer}
-	queries := make([][]geo.Point, 24)
-	for i := range queries {
-		queries[i] = city.Query(rng, 3, 3)
-	}
-	results := make([]*QueryResult, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	for i := range queries {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = e.RkNNT(queries[i], opts)
-		}(i)
-	}
-	wg.Wait()
-	for i, q := range queries {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		want, _, err := core.RkNNT(x2, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(results[i].Transitions, want) && !(len(results[i].Transitions) == 0 && len(want) == 0) {
-			t.Fatalf("query %d: coalesced %v, core %v", i, results[i].Transitions, want)
-		}
-	}
-	s := e.EngineStats()
-	if s.BatchCoalesced == 0 {
-		t.Fatal("no queries were coalesced despite a maximum gather window")
-	}
-	if s.CoalesceWindowMicros <= 0 {
-		t.Fatalf("CoalesceWindowMicros = %v", s.CoalesceWindowMicros)
-	}
-	// Coalesced answers enter the ordinary result cache.
-	res, err := e.RkNNT(queries[0], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Cached {
-		t.Error("coalesced result did not populate the cache")
-	}
-}
-
-// TestCoalesceErrorBypass checks empty queries bypass the coalescer
-// (their validation error must not poison a group) while valid
-// singletons still answer correctly through it.
-func TestCoalesceErrorBypass(t *testing.T) {
-	x := twoRoutes(t, model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)})
-	e := New(x, Options{Coalesce: true})
-	defer e.Close()
-	if _, err := e.RkNNT(nil, core.Options{K: 1}); err == nil {
-		t.Fatal("empty query: want error")
-	}
-	res, err := e.RkNNT(queryY0, core.Options{K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Transitions) != 1 || res.Transitions[0] != 7 {
-		t.Fatalf("coalesced singleton: %v", res.Transitions)
 	}
 }
 

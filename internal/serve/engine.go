@@ -27,17 +27,6 @@ type Options struct {
 	// evenly among them). 1 selects the legacy single-mutex LRU — the
 	// differential-test oracle. Default 8.
 	CacheShards int
-	// Coalesce enables the adaptive micro-batch coalescer: singleton
-	// RkNNT calls that miss the cache wait up to a small, measured-cost-
-	// derived window for identically-optioned queries to arrive, then
-	// execute together through BatchRkNNT's block-shared traversal.
-	// Default off: coalescing trades a bounded latency floor for
-	// throughput, which only pays under concurrent load.
-	Coalesce bool
-	// CoalesceMaxBatch caps how many queries one coalesced group may
-	// gather before it executes without waiting out its window.
-	// Default 64.
-	CoalesceMaxBatch int
 	// MaxBatch caps how many queued writes one batch may coalesce.
 	// Default 256.
 	MaxBatch int
@@ -87,9 +76,6 @@ func (o *Options) fill() {
 	if o.CacheShards <= 0 {
 		o.CacheShards = defaultCacheShards
 	}
-	if o.CoalesceMaxBatch <= 0 {
-		o.CoalesceMaxBatch = 64
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 256
 	}
@@ -112,8 +98,8 @@ func (o *Options) fill() {
 //   - shardMu[s] guards TR-tree shard s. A shard pipeline's commit
 //     takes only its own shard lock (plus structMu shared), so two
 //     shards commit under disjoint locks; queries take every shard
-//     lock shared (rlockAll); barrier commits (expiry, stale-placement
-//     removals, single-pipeline mode) take every shard lock exclusive.
+//     lock shared (rlockAll); barrier commits (expiry, single-pipeline
+//     mode) take every shard lock exclusive.
 //
 // All acquisition is ordered structMu then shardMu[0..n-1] ascending,
 // so the lock graph is acyclic.
@@ -132,7 +118,6 @@ type Engine struct {
 	cache    resultCache
 	journals []shardJournal
 	flight   flightGroup
-	coal     *coalescer
 
 	// Adaptive cost models: tuner places the refine parallel cut-over
 	// inside core from measured verify costs; repairTune sets the lazy
@@ -149,7 +134,6 @@ type Engine struct {
 	barrier *shardPipeline
 	quit    chan struct{}
 	wg      sync.WaitGroup
-	pipesWg sync.WaitGroup // shard pipelines only; the barrier outlives them
 	closeMu sync.RWMutex
 	closed  bool
 
@@ -202,15 +186,11 @@ func New(idx *index.Index, opts Options) *Engine {
 	} else {
 		e.cache = newShardedCache(opts.CacheSize, opts.CacheShards, e.mx.cacheHits, e.mx.cacheMisses)
 	}
-	// The coalescer always exists (its window gauge must be readable);
-	// only query routing consults opts.Coalesce.
-	e.coal = newCoalescer(e, opts.CoalesceMaxBatch)
 	idx.SetObserver(e.mx.observer())
 	e.mon.SetMetrics(e.mx.mon)
 	for s := range e.pipes {
 		e.pipes[s].commitHist = e.mx.shardCommit[s]
 		e.wg.Add(1)
-		e.pipesWg.Add(1)
 		go e.pipes[s].run()
 	}
 	e.barrier.commitHist = e.mx.barrierCommit
@@ -311,21 +291,6 @@ func (e *Engine) RkNNT(query []geo.Point, opts core.Options) (*QueryResult, erro
 			return res, nil
 		}
 		opts.Trace.Event("cache_stale", int64(ent.res.Epoch))
-	}
-	// Micro-batch coalescing: a cache-missing singleton waits out a
-	// short, measured-cost-derived window for identically-optioned
-	// queries, then executes with them through BatchRkNNT's shared
-	// traversal. Traced queries bypass — the batch path runs untraced —
-	// as do empty queries, whose validation error must not fail a whole
-	// group. Coalesced misses also skip the per-query flight dedup and
-	// slow-log sampling; the group's intra-batch dedup covers stampedes.
-	if e.opts.Coalesce && opts.Trace == nil && len(query) > 0 {
-		res, err := e.coal.enqueue(key, query, opts)
-		if err != nil {
-			return nil, err
-		}
-		e.mx.queryLatency.RecordDuration(time.Since(t0))
-		return res, nil
 	}
 	// Slow-query sampling: when no caller trace is attached, record one
 	// speculatively from request arrival; it is kept only if the query
@@ -590,7 +555,7 @@ type Stats struct {
 
 	// WriteQueueDepths[s] is the number of ops waiting on shard s's
 	// pipeline; BarrierQueueDepth counts ops waiting on the cross-shard
-	// barrier pipeline (expiry, stale-placement removals).
+	// barrier pipeline (expiry).
 	WriteQueueDepths  []int `json:"write_queue_depths"`
 	BarrierQueueDepth int   `json:"barrier_queue_depth"`
 
@@ -604,15 +569,12 @@ type Stats struct {
 	CachePurges       uint64 `json:"cache_purges"`
 	InflightDups      uint64 `json:"inflight_dups"`
 
-	// Batched query execution: request/query/executed/coalesced counts,
-	// the per-request latency summary, and the coalescer's current
-	// adaptive gather window.
-	BatchRequests        uint64          `json:"batch_requests"`
-	BatchQueries         uint64          `json:"batch_queries"`
-	BatchExecuted        uint64          `json:"batch_executed"`
-	BatchCoalesced       uint64          `json:"batch_coalesced"`
-	BatchLatency         obs.SummaryData `json:"batch_latency_micros"`
-	CoalesceWindowMicros float64         `json:"coalesce_window_micros"`
+	// Batched query execution: request/query/executed counts and the
+	// per-request latency summary.
+	BatchRequests uint64          `json:"batch_requests"`
+	BatchQueries  uint64          `json:"batch_queries"`
+	BatchExecuted uint64          `json:"batch_executed"`
+	BatchLatency  obs.SummaryData `json:"batch_latency_micros"`
 
 	Batches       uint64 `json:"batches"`
 	BatchedOps    uint64 `json:"batched_ops"`
@@ -694,53 +656,51 @@ func (e *Engine) EngineStats() Stats {
 	filterSum := m.filterLatency.Snapshot()
 	verifySum := m.verifyLatency.Snapshot()
 	return Stats{
-		Epoch:                vec.Sum(),
-		EpochVector:          vec,
-		Routes:               routes,
-		Transitions:          transitions,
-		RadiusPlaneK:         e.idx.RadiusK(),
-		Shards:               shards,
-		ShardSizes:           shardSizes,
-		WriteQueueDepths:     queueDepths,
-		BarrierQueueDepth:    len(e.barrier.ch),
-		CacheEntries:         e.cache.Len(),
-		CacheShardEntries:    e.cache.ShardLens(),
-		CacheHits:            m.cacheHits.Load(),
-		CacheMisses:          m.cacheMisses.Load(),
-		CacheRepairs:         m.cacheRepairs.Load(),
-		CachePurges:          m.cachePurges.Load(),
-		InflightDups:         m.dedupHits.Load(),
-		BatchRequests:        m.batchRequests.Load(),
-		BatchQueries:         m.batchQueries.Load(),
-		BatchExecuted:        m.batchExecuted.Load(),
-		BatchCoalesced:       m.batchCoalesced.Load(),
-		BatchLatency:         obs.Summarize(m.batchLatency, micros),
-		CoalesceWindowMicros: e.coal.window().Seconds() * 1e6,
-		Batches:              m.batches.Load(),
-		BatchedOps:           m.batchedOps.Load(),
-		QueriesRun:           m.queriesRun.Load(),
-		Standing:             e.standing.Load(),
-		DroppedEvents:        m.dropped.Load(),
-		SlowQueries:          e.slow.Total(),
-		FilterMicros:         int64(filterSum.Sum / 1000),
-		VerifyMicros:         int64(verifySum.Sum / 1000),
-		FilterPoints:         int(m.filterPoints.Load()),
-		FilterRoutes:         int(m.filterRoutes.Load()),
-		RefineNodes:          int(m.refineNodes.Load()),
-		Candidates:           int(m.candidates.Load()),
-		Results:              int(m.results.Load()),
-		QueryLatency:         obs.Summarize(m.queryLatency, micros),
-		FilterLatency:        obs.Summarize(m.filterLatency, micros),
-		VerifyLatency:        obs.Summarize(m.verifyLatency, micros),
-		QueueWait:            obs.Summarize(m.queueWait, micros),
-		Commit:               obs.Summarize(m.commit, micros),
-		ShardCommits:         shardCommits,
-		BarrierCommit:        obs.Summarize(m.barrierCommit, micros),
-		ShardWrites:          shardWrites,
-		ExpirySweep:          obs.Summarize(m.expirySweep, micros),
-		Expired:              m.expirySwept.Load(),
-		SnapshotSave:         obs.Summarize(m.snapshotSave, micros),
-		SnapshotLoad:         obs.Summarize(m.snapshotLoad, micros),
+		Epoch:             vec.Sum(),
+		EpochVector:       vec,
+		Routes:            routes,
+		Transitions:       transitions,
+		RadiusPlaneK:      e.idx.RadiusK(),
+		Shards:            shards,
+		ShardSizes:        shardSizes,
+		WriteQueueDepths:  queueDepths,
+		BarrierQueueDepth: len(e.barrier.ch),
+		CacheEntries:      e.cache.Len(),
+		CacheShardEntries: e.cache.ShardLens(),
+		CacheHits:         m.cacheHits.Load(),
+		CacheMisses:       m.cacheMisses.Load(),
+		CacheRepairs:      m.cacheRepairs.Load(),
+		CachePurges:       m.cachePurges.Load(),
+		InflightDups:      m.dedupHits.Load(),
+		BatchRequests:     m.batchRequests.Load(),
+		BatchQueries:      m.batchQueries.Load(),
+		BatchExecuted:     m.batchExecuted.Load(),
+		BatchLatency:      obs.Summarize(m.batchLatency, micros),
+		Batches:           m.batches.Load(),
+		BatchedOps:        m.batchedOps.Load(),
+		QueriesRun:        m.queriesRun.Load(),
+		Standing:          e.standing.Load(),
+		DroppedEvents:     m.dropped.Load(),
+		SlowQueries:       e.slow.Total(),
+		FilterMicros:      int64(filterSum.Sum / 1000),
+		VerifyMicros:      int64(verifySum.Sum / 1000),
+		FilterPoints:      int(m.filterPoints.Load()),
+		FilterRoutes:      int(m.filterRoutes.Load()),
+		RefineNodes:       int(m.refineNodes.Load()),
+		Candidates:        int(m.candidates.Load()),
+		Results:           int(m.results.Load()),
+		QueryLatency:      obs.Summarize(m.queryLatency, micros),
+		FilterLatency:     obs.Summarize(m.filterLatency, micros),
+		VerifyLatency:     obs.Summarize(m.verifyLatency, micros),
+		QueueWait:         obs.Summarize(m.queueWait, micros),
+		Commit:            obs.Summarize(m.commit, micros),
+		ShardCommits:      shardCommits,
+		BarrierCommit:     obs.Summarize(m.barrierCommit, micros),
+		ShardWrites:       shardWrites,
+		ExpirySweep:       obs.Summarize(m.expirySweep, micros),
+		Expired:           m.expirySwept.Load(),
+		SnapshotSave:      obs.Summarize(m.snapshotSave, micros),
+		SnapshotLoad:      obs.Summarize(m.snapshotLoad, micros),
 		Monitor: MonitorStats{
 			Adds:          m.mon.StandingAdds.Load(),
 			Removes:       m.mon.StandingRemoves.Load(),

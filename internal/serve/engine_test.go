@@ -21,6 +21,13 @@ import (
 // near y=0.
 func twoRoutes(t testing.TB, extra ...model.Transition) *index.Index {
 	t.Helper()
+	return twoRoutesSharded(t, 0, extra...)
+}
+
+// twoRoutesSharded is twoRoutes on a fixed TR-tree shard count (0: the
+// default, GOMAXPROCS).
+func twoRoutesSharded(t testing.TB, shards int, extra ...model.Transition) *index.Index {
+	t.Helper()
 	ds := &model.Dataset{
 		Routes: []model.Route{
 			{ID: 1, Stops: []model.StopID{0, 1}, Pts: []geo.Point{geo.Pt(0, 10), geo.Pt(10, 10)}},
@@ -28,7 +35,7 @@ func twoRoutes(t testing.TB, extra ...model.Transition) *index.Index {
 		},
 		Transitions: extra,
 	}
-	x, err := index.Build(ds)
+	x, err := index.BuildOpts(ds, index.Options{TRShards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

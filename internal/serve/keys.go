@@ -28,9 +28,7 @@ var keyBufPool = sync.Pool{
 // in-flight dedup key (flightKey). Parallel is excluded: it cannot
 // change the result.
 //
-// Layout: 8B flags, 8B TimeFrom, 8B TimeTo, then 16B per point. The
-// first optsKeyLen bytes depend only on the options, so key[:optsKeyLen]
-// groups queries that may execute in one coalesced batch.
+// Layout: 8B flags, 8B TimeFrom, 8B TimeTo, then 16B per point.
 func queryKey(query []geo.Point, opts core.Options) string {
 	bp := keyBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
@@ -56,9 +54,6 @@ func queryKey(query []geo.Point, opts core.Options) string {
 	keyBufPool.Put(bp)
 	return s
 }
-
-// optsKeyLen is the length of queryKey's options-only prefix.
-const optsKeyLen = 24
 
 // flightKey prepends the live epoch vector to a query key, so an
 // in-flight dedup can never hand a caller a result computed over an

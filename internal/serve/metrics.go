@@ -46,13 +46,12 @@ type engineMetrics struct {
 	repairFallbackBudget     *obs.Counter
 	radiusProbes             *obs.Counter
 
-	// Batched query execution (batchexec.go, coalesce.go).
-	batchRequests  *obs.Counter
-	batchQueries   *obs.Counter
-	batchExecuted  *obs.Counter
-	batchCoalesced *obs.Counter
-	batchSize      *obs.Histogram // queries per batch request / coalesced group
-	batchLatency   *obs.Histogram // end-to-end RkNNTBatch wall clock
+	// Batched query execution (batchexec.go).
+	batchRequests *obs.Counter
+	batchQueries  *obs.Counter
+	batchExecuted *obs.Counter
+	batchSize     *obs.Histogram // queries per batch request
+	batchLatency  *obs.Histogram // end-to-end RkNNTBatch wall clock
 
 	// Write pipelines.
 	batches       *obs.Counter
@@ -120,12 +119,11 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 		radiusProbes:    reg.Counter("rknnt_rank_radius_probes_total", "RR-tree rank-radius probes for arriving transitions: two per transition per k. For a k with a radius plane the committing writer pays them (the radii are stored with the endpoints and handed to the journal batch); for any other k in use lazy cache repair pays them once per batch, memoised and shared by every cached entry that replays it."),
 		planeBuild:      reg.Histogram("rknnt_radius_plane_build_seconds", "Duration of building a radius plane in the background (one rank-radius probe per indexed endpoint, off the request path and outside the shard locks) after a k earned it by traffic.", nanos),
 
-		batchRequests:  reg.Counter("rknnt_batch_requests_total", "RkNNTBatch calls (batch endpoint requests)."),
-		batchQueries:   reg.Counter("rknnt_batch_queries_total", "Queries submitted through RkNNTBatch."),
-		batchExecuted:  reg.Counter("rknnt_batch_executed_total", "Cache-missing queries executed through the shared-traversal batch core."),
-		batchCoalesced: reg.Counter("rknnt_batch_coalesced_total", "Singleton queries merged into coalesced micro-batches of two or more."),
-		batchSize:      reg.Histogram("rknnt_batch_size", "Queries per batch request.", 1),
-		batchLatency:   reg.Histogram("rknnt_batch_seconds", "End-to-end batch request latency.", nanos),
+		batchRequests: reg.Counter("rknnt_batch_requests_total", "RkNNTBatch calls (batch endpoint requests)."),
+		batchQueries:  reg.Counter("rknnt_batch_queries_total", "Queries submitted through RkNNTBatch."),
+		batchExecuted: reg.Counter("rknnt_batch_executed_total", "Cache-missing batch members executed, all members of one request over one snapshot."),
+		batchSize:     reg.Histogram("rknnt_batch_size", "Queries per batch request.", 1),
+		batchLatency:  reg.Histogram("rknnt_batch_seconds", "End-to-end batch request latency.", nanos),
 
 		batches:    reg.Counter("rknnt_write_batches_total", "Committed coalesced write batches."),
 		batchedOps: reg.Counter("rknnt_write_ops_total", "Write operations committed via batches."),
@@ -230,9 +228,6 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 		for s, n := range e.cache.ShardLens() {
 			emit([]string{strconv.Itoa(s)}, float64(n))
 		}
-	})
-	reg.GaugeFunc("rknnt_batch_window_seconds", "Current adaptive micro-batch coalescing window; tracks half the measured per-query batched execution cost.", func() float64 {
-		return e.coal.window().Seconds()
 	})
 	reg.GaugeFunc("rknnt_radius_planes", "Radius planes on the TR-tree: 1 while some k is answered by a plane descent (and every arriving transition pays two RR-tree probes at that k), else 0.", func() float64 {
 		if e.idx.RadiusK() != 0 {

@@ -148,7 +148,7 @@ func (e *Engine) tryRepair(key string, ent *cachedQuery) *QueryResult {
 				changed = true
 			}
 			ids = slices.Insert(ids, i, t.ID)
-			if s, ok := e.idx.ShardOf(t.ID); ok && s < 64 {
+			if s := e.idx.HomeShard(t.ID); s < 64 {
 				touched |= 1 << uint(s)
 			}
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -134,15 +135,38 @@ func TestRepairedCacheMatchesFresh(t *testing.T) {
 // removals-then-adds from flat lists would rank-check the already-dead
 // transition (the check is purely geometric) and serve its ID from
 // cache forever. The shard pipeline's apply is driven directly so the
-// coalescing is deterministic.
+// coalescing is deterministic. Transition 7 is bulk-loaded: on two and
+// four shards its removal must find it through the same pipeline its
+// re-add commits to, whether the ops are driven as one batch or come
+// through the public API.
 func TestRepairAddRemoveSameBatch(t *testing.T) {
-	x := twoRoutes(t, model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)})
+	for _, shards := range []int{0, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			repairAddRemoveSameBatch(t, shards)
+		})
+	}
+}
+
+func repairAddRemoveSameBatch(t *testing.T, shards int) {
+	seven := model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)}
+	x := twoRoutesSharded(t, shards, seven)
 	e := New(x, Options{})
 	defer e.Close()
 	opts := core.Options{K: 1}
-	if _, err := e.RkNNT(queryY0, opts); err != nil { // warm the cache: [7]
-		t.Fatal(err)
+	wantSeven := func(label string, wantCached bool) {
+		t.Helper()
+		got, err := e.RkNNT(queryY0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantCached && !got.Cached {
+			t.Errorf("%s: expected repaired cache hit", label)
+		}
+		if len(got.Transitions) != 1 || got.Transitions[0] != 7 {
+			t.Fatalf("%s: got %v, want [7]", label, got.Transitions)
+		}
 	}
+	wantSeven("warm the cache", false)
 	mk := func(kind opKind, t model.Transition, id model.TransitionID) writeOp {
 		return writeOp{kind: kind, t: t, id: id, done: make(chan opResult, 1)}
 	}
@@ -158,31 +182,33 @@ func TestRepairAddRemoveSameBatch(t *testing.T) {
 	if e.Transition(8) != nil {
 		t.Fatal("transition 8 still in index")
 	}
-	got, err := e.RkNNT(queryY0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Cached {
-		t.Error("expected repaired cache hit")
-	}
-	if len(got.Transitions) != 1 || got.Transitions[0] != 7 {
-		t.Fatalf("ghost transition resurrected into cache: %v", got.Transitions)
-	}
+	wantSeven("ghost add+remove in one batch", true)
 	// The mirror case: remove then re-add in one batch keeps it.
 	batch = []writeOp{
 		mk(opRemoveTransition, model.Transition{}, 7),
-		mk(opAddTransition, model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)}, 0),
+		mk(opAddTransition, seven, 0),
 	}
 	e.pipes[e.idx.HomeShard(7)].applyShard(batch)
-	for _, op := range batch {
-		<-op.done
+	if res := <-batch[0].done; res.err != nil || !res.existed {
+		t.Fatalf("remove of bulk-loaded 7 on its home pipeline: %+v", res)
 	}
-	got, err = e.RkNNT(queryY0, opts)
-	if err != nil {
-		t.Fatal(err)
+	if res := <-batch[1].done; res.err != nil {
+		t.Fatalf("re-add of 7 behind its removal: %v", res.err)
 	}
-	if len(got.Transitions) != 1 || got.Transitions[0] != 7 {
-		t.Fatalf("remove+re-add in one batch lost the transition: %v", got.Transitions)
+	wantSeven("remove+re-add in one batch", false)
+	// The same pair through the public API.
+	if existed, err := e.RemoveTransitions([]model.TransitionID{7}); err != nil || !existed[0] {
+		t.Fatalf("RemoveTransitions(7): existed=%v err=%v", existed, err)
+	}
+	if errs := e.AddTransitions([]model.Transition{seven}); errs[0] != nil {
+		t.Fatalf("AddTransitions(7) after its removal: %v", errs[0])
+	}
+	wantSeven("public remove then re-add", false)
+	if existed, err := e.RemoveTransitions([]model.TransitionID{7}); err != nil || !existed[0] {
+		t.Fatalf("final RemoveTransitions(7): existed=%v err=%v", existed, err)
+	}
+	if n := e.NumTransitions(); n != 0 {
+		t.Fatalf("%d transitions left, want 0", n)
 	}
 }
 

@@ -372,80 +372,3 @@ func TestCloseDrainsConcurrentMultiShardWrites(t *testing.T) {
 	}
 	e.Close() // idempotent
 }
-
-// TestForeignRemovalForwardsToBarrier covers removals whose committed
-// placement disagrees with the routed pipeline: bulk-built transitions
-// are dealt to shards round-robin, not by home-shard hash, so removing
-// them through the engine exercises the forward-to-barrier path.
-func TestForeignRemovalForwardsToBarrier(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	ds := &model.Dataset{}
-	route := model.Route{ID: 1}
-	for i := 0; i < 4; i++ {
-		route.Stops = append(route.Stops, int32(i))
-		route.Pts = append(route.Pts, geo.Pt(float64(i*3), 0))
-	}
-	ds.Routes = []model.Route{route}
-	var ids []model.TransitionID
-	for i := 0; i < 64; i++ {
-		id := model.TransitionID(i + 1)
-		ids = append(ids, id)
-		ds.Transitions = append(ds.Transitions, model.Transition{
-			ID: id,
-			O:  geo.Pt(rng.Float64()*10, rng.Float64()*10),
-			D:  geo.Pt(rng.Float64()*10, rng.Float64()*10),
-		})
-	}
-	x, err := index.BuildOpts(ds, index.Options{TRShards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a transition the bulk deal placed off its home shard — the
-	// stale-placement case the forward path exists for.
-	var victim model.TransitionID
-	for _, id := range ids {
-		if s, ok := x.ShardOf(id); ok && s != x.HomeShard(id) {
-			victim = id
-			break
-		}
-	}
-	if victim == 0 {
-		t.Fatal("bulk load placed every transition on its home shard; test is vacuous")
-	}
-
-	e := New(x, Options{})
-	defer e.Close()
-	// Drive the HOME pipeline's commit directly (normal routing would
-	// consult the committed placement and go straight to the owning
-	// shard): the commit must discover the foreign placement and forward
-	// the op to the barrier, which answers it.
-	op := writeOp{kind: opRemoveTransition, id: victim, done: make(chan opResult, 1)}
-	e.pipes[e.idx.HomeShard(victim)].applyShard([]writeOp{op})
-	res := <-op.done
-	if res.err != nil || !res.existed {
-		t.Fatalf("forwarded removal: existed=%v err=%v, want existed=true", res.existed, res.err)
-	}
-	if e.Transition(victim) != nil {
-		t.Error("transition still indexed after forwarded removal")
-	}
-
-	// The rest remove through normal routing, which follows ShardOf.
-	rest := ids[:0]
-	for _, id := range ids {
-		if id != victim {
-			rest = append(rest, id)
-		}
-	}
-	existed, err := e.RemoveTransitions(rest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ok := range existed {
-		if !ok {
-			t.Errorf("transition %d reported missing", rest[i])
-		}
-	}
-	if n := e.NumTransitions(); n != 0 {
-		t.Errorf("%d transitions left after removing all", n)
-	}
-}

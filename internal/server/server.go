@@ -6,7 +6,7 @@
 // Endpoints:
 //
 //	POST   /v1/rknnt              reverse k-nearest-neighbour query
-//	POST   /v1/rknnt/batch        many RkNNT queries, one shared traversal
+//	POST   /v1/rknnt/batch        many RkNNT queries, one snapshot
 //	POST   /v1/knn                k nearest routes to a point
 //	POST   /v1/plan               MaxRkNNT/MinRkNNT route planning
 //	POST   /v1/transitions        batch-add transitions
@@ -185,10 +185,10 @@ func (s *Server) handleRkNNT(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRkNNTBatch answers many RkNNT queries sharing one option set in
-// a single request: cache misses execute together through the engine's
-// shared-traversal batch core instead of walking the index once per
-// query. Validation mirrors the single endpoint per query; one invalid
-// query rejects the whole request (the batch shares its option set and
+// a single request: cache misses execute concurrently against one
+// snapshot, so every executed answer is valid at the same epoch vector.
+// Validation mirrors the single endpoint per query; one invalid query
+// rejects the whole request (the batch shares its option set and
 // snapshot, so partial answers would mask the caller's bug).
 func (s *Server) handleRkNNTBatch(w http.ResponseWriter, r *http.Request) {
 	var req rknntBatchRequest
