@@ -53,7 +53,7 @@ func main() {
 	flag.IntVar(&cfg.Queries, "queries", cfg.Queries, "queries averaged per data point")
 	flag.IntVar(&cfg.SynTransitions, "syn", cfg.SynTransitions, "NYC-Synthetic transition count (paper: 10000000)")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "query sampling seed")
-	shards := flag.String("shards", "", "comma-separated TR-shard counts for the shardwrites sweep (default 1,2,4,8)")
+	shards := flag.String("shards", "", "comma-separated TR-shard counts for the shardscale sweep (default 1,2,4,8)")
 	flag.Parse()
 
 	if *shards != "" {

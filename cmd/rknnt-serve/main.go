@@ -57,7 +57,6 @@ func main() {
 	scale := flag.Int("scale", 8, "divide the paper's cardinalities by this factor")
 	synN := flag.Int("syn", 100000, "transition count for the syn preset")
 	cacheSize := flag.Int("cache", 4096, "query-result LRU capacity")
-	cacheShards := flag.Int("cache-shards", 0, "result-cache shard count (rounded up to a power of two; 0 = default, 1 = legacy single-mutex LRU)")
 	maxBatch := flag.Int("max-batch", 256, "max writes coalesced per batch")
 	saveIndex := flag.String("save-index", "", "write an arena index snapshot here once the indexes are ready")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -106,7 +105,6 @@ func main() {
 
 	opts := serve.Options{
 		CacheSize:     *cacheSize,
-		CacheShards:   *cacheShards,
 		MaxBatch:      *maxBatch,
 		Network:       g,
 		VertexOf:      vertexOf,

@@ -85,7 +85,7 @@ type Config struct {
 	SynTransitions int
 	// Seed drives query sampling.
 	Seed int64
-	// ShardSweep is the TR-shard counts the shardwrites experiment
+	// ShardSweep is the TR-shard counts the shardscale experiment
 	// sweeps over (rknnt-bench -shards). Empty means 1,2,4,8.
 	ShardSweep []int
 }
@@ -115,7 +115,7 @@ var order = []string{
 	"table2", "table3", "fig6", "fig8", "fig17",
 	"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 	"table5", "fig18", "fig19", "fig20", "fig21",
-	"ablation", "coldstart", "shardwrites", "shardscale",
+	"ablation", "coldstart", "shardscale",
 }
 
 // IDs returns all experiment IDs in paper order.
@@ -147,27 +147,26 @@ func (s *Suite) RunAll() ([]*Table, error) {
 
 func (s *Suite) registry() map[string]func() (*Table, error) {
 	return map[string]func() (*Table, error){
-		"table2":      s.Table2,
-		"table3":      s.Table3,
-		"fig6":        s.Fig6,
-		"fig8":        s.Fig8,
-		"fig9":        s.Fig9,
-		"fig10":       s.Fig10,
-		"fig11":       s.Fig11,
-		"fig12":       s.Fig12,
-		"fig13":       s.Fig13,
-		"fig14":       s.Fig14,
-		"fig15":       s.Fig15,
-		"fig16":       s.Fig16,
-		"fig17":       s.Fig17,
-		"table5":      s.Table5,
-		"fig18":       s.Fig18,
-		"fig19":       s.Fig19,
-		"fig20":       s.Fig20,
-		"fig21":       s.Fig21,
-		"ablation":    s.Ablation,
-		"coldstart":   s.ColdStart,
-		"shardwrites": s.ShardWrites,
-		"shardscale":  s.ShardScale,
+		"table2":     s.Table2,
+		"table3":     s.Table3,
+		"fig6":       s.Fig6,
+		"fig8":       s.Fig8,
+		"fig9":       s.Fig9,
+		"fig10":      s.Fig10,
+		"fig11":      s.Fig11,
+		"fig12":      s.Fig12,
+		"fig13":      s.Fig13,
+		"fig14":      s.Fig14,
+		"fig15":      s.Fig15,
+		"fig16":      s.Fig16,
+		"fig17":      s.Fig17,
+		"table5":     s.Table5,
+		"fig18":      s.Fig18,
+		"fig19":      s.Fig19,
+		"fig20":      s.Fig20,
+		"fig21":      s.Fig21,
+		"ablation":   s.Ablation,
+		"coldstart":  s.ColdStart,
+		"shardscale": s.ShardScale,
 	}
 }

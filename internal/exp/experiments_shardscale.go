@@ -13,6 +13,10 @@ import (
 	"repro/internal/serve"
 )
 
+// defaultShardSweep is the TR-shard sweep run when the configuration
+// does not override it (rknnt-bench -shards).
+var defaultShardSweep = []int{1, 2, 4, 8}
+
 // defaultProcSweep is the GOMAXPROCS sweep for the shardscale
 // experiment. The acceptance comparison point is 4 vs 1.
 var defaultProcSweep = []int{1, 2, 4}
@@ -161,4 +165,12 @@ func (s *Suite) shardScaleRow(shards int) (shardScaleResult, error) {
 		readMicros:     float64(readTime.Microseconds()) / float64(max(reads, 1)),
 		hitRatio:       float64(hits) / float64(max(hits+misses, 1)),
 	}, nil
+}
+
+func setErr(mu *sync.Mutex, dst *error, err error) {
+	mu.Lock()
+	if *dst == nil {
+		*dst = err
+	}
+	mu.Unlock()
 }

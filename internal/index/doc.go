@@ -26,15 +26,16 @@
 // along the ancestor chain on every route insert and delete. Invariant:
 // NList(n) is exact after every completed mutation — there is no rebuild
 // window, so a query admitted after a write batch commits always sees
-// lists that reflect that batch. The pre-refactor wholesale rebuild
-// survives behind SetLegacyNList(true) as a differential-test oracle.
+// lists that reflect that batch. A test-side wholesale rebuild of every
+// list (shard_test.go) is the differential oracle the aggregate must
+// match.
 //
 // # Concurrency
 //
 // All mutating methods require external synchronisation (the serving
 // layer provides a single-writer discipline). Read-only methods — queries,
-// NList/NListEach in the default incremental mode, Crossover — are safe to
-// call concurrently with each other.
+// NList/NListEach, Crossover — are safe to call concurrently with each
+// other.
 //
 // # Persistence
 //

@@ -74,14 +74,6 @@ type Index struct {
 
 	// observer holds the optional telemetry sinks; see observe.go.
 	observer Observer
-
-	// Legacy NList oracle (see nlist.go): a wholesale rebuild of the
-	// per-node route lists, kept behind a flag as a differential-test
-	// oracle for the incremental aggregate.
-	legacyNList bool
-	nlistMu     sync.Mutex
-	nlist       map[rtree.NodeID][]model.RouteID
-	nlistGen    uint64
 }
 
 // Build constructs the index over the dataset using bulk loading, with

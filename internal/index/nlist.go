@@ -1,8 +1,6 @@
 package index
 
 import (
-	"sort"
-
 	"repro/internal/model"
 	"repro/internal/rtree"
 )
@@ -10,41 +8,19 @@ import (
 // NList (Section 4.1.2): for every RR-tree node, the sorted set of route
 // IDs with at least one point beneath it.
 //
-// Two implementations coexist:
-//
-//   - Incremental (default): the RR-tree is built with WithIDAggregate,
-//     which merges/unmerges route IDs along the insert/delete path, so the
-//     lists are always fresh at O(depth) cost per update and reads take no
-//     lock. This is what makes the dynamic scenario cheap: a write batch
-//     no longer forces an O(tree) rebuild before the next query.
-//   - Legacy wholesale rebuild (SetLegacyNList(true)): the pre-refactor
-//     path — rebuild every list by walking the whole tree whenever the
-//     generation moves. Kept as a differential-test oracle; the
-//     incremental lists must match it exactly.
-
-// SetLegacyNList switches the NList implementation to the wholesale
-// rebuild oracle (true) or the incremental aggregate (false). Test-only
-// knob; not safe to flip while queries are in flight.
-func (x *Index) SetLegacyNList(legacy bool) {
-	x.nlistMu.Lock()
-	x.legacyNList = legacy
-	x.nlist = nil
-	x.nlistMu.Unlock()
-}
+// The RR-tree is built with WithIDAggregate, which merges/unmerges route
+// IDs along the insert/delete path, so the lists are always fresh at
+// O(depth) cost per update and reads take no lock. This is what makes the
+// dynamic scenario cheap: a write batch never forces an O(tree) rebuild
+// before the next query. A test-side wholesale rebuild is the oracle the
+// incremental lists must match exactly.
 
 // NList returns the sorted set of route IDs that have at least one point
 // beneath the given RR-tree node. The returned slice is a fresh copy:
 // callers may retain and mutate it freely. Hot paths should prefer
 // NListEach, which avoids the copy.
 func (x *Index) NList(n rtree.NodeID) []model.RouteID {
-	if !x.legacyNList {
-		lst := x.rr.IDList(n)
-		if lst == nil {
-			return nil
-		}
-		return append([]model.RouteID(nil), lst...)
-	}
-	lst := x.legacyNListFor(n)
+	lst := x.rr.IDList(n)
 	if lst == nil {
 		return nil
 	}
@@ -52,61 +28,12 @@ func (x *Index) NList(n rtree.NodeID) []model.RouteID {
 }
 
 // NListEach calls fn for every route ID beneath the node, in ascending
-// order, until fn returns false. In the default incremental mode it takes
-// no lock and does not allocate, so it is safe for concurrent queries.
+// order, until fn returns false. It takes no lock and does not allocate,
+// so it is safe for concurrent queries.
 func (x *Index) NListEach(n rtree.NodeID, fn func(model.RouteID) bool) {
-	var lst []model.RouteID
-	if !x.legacyNList {
-		lst = x.rr.IDList(n)
-	} else {
-		lst = x.legacyNListFor(n)
-	}
-	for _, id := range lst {
+	for _, id := range x.rr.IDList(n) {
 		if !fn(id) {
 			return
 		}
 	}
-}
-
-// legacyNListFor serves one node's list from the wholesale-rebuild cache,
-// rebuilding it under the mutex when the tree generation has moved.
-func (x *Index) legacyNListFor(n rtree.NodeID) []model.RouteID {
-	x.nlistMu.Lock()
-	if x.nlist == nil || x.nlistGen != x.rr.Generation() {
-		x.rebuildNList()
-	}
-	lst := x.nlist[n]
-	x.nlistMu.Unlock()
-	return lst
-}
-
-// rebuildNList recomputes every node's route list by walking the whole
-// RR-tree bottom-up (the pre-refactor implementation, now the oracle).
-func (x *Index) rebuildNList() {
-	x.nlist = make(map[rtree.NodeID][]model.RouteID)
-	x.nlistGen = x.rr.Generation()
-	tree := x.rr
-	var walk func(n rtree.NodeID) []model.RouteID
-	walk = func(n rtree.NodeID) []model.RouteID {
-		set := make(map[model.RouteID]struct{})
-		if tree.IsLeaf(n) {
-			for _, e := range tree.Entries(n) {
-				set[e.ID] = struct{}{}
-			}
-		} else {
-			for _, c := range tree.Children(n) {
-				for _, id := range walk(c) {
-					set[id] = struct{}{}
-				}
-			}
-		}
-		ids := make([]model.RouteID, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		x.nlist[n] = ids
-		return ids
-	}
-	walk(tree.Root())
 }

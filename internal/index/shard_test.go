@@ -196,8 +196,8 @@ func TestBatchMatchesSingleOps(t *testing.T) {
 }
 
 // TestNListDifferentialOracle fuzzes route add/remove interleavings and
-// demands the incremental NList stay byte-identical to the legacy
-// wholesale-rebuild oracle on every node.
+// demands the incremental NList stay byte-identical to a wholesale
+// rebuild (wholesaleNList) on every node.
 func TestNListDifferentialOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	x, err := Build(&model.Dataset{})
@@ -249,26 +249,8 @@ func TestNListDifferentialOracle(t *testing.T) {
 
 func compareNListToOracle(t *testing.T, x *Index, step int) {
 	t.Helper()
-	tree := x.RouteTree()
-	var nodes []rtree.NodeID
-	var walk func(n rtree.NodeID)
-	walk = func(n rtree.NodeID) {
-		nodes = append(nodes, n)
-		if !tree.IsLeaf(n) {
-			for _, c := range tree.Children(n) {
-				walk(c)
-			}
-		}
-	}
-	walk(tree.Root())
-	incr := make(map[rtree.NodeID][]model.RouteID, len(nodes))
-	for _, n := range nodes {
-		incr[n] = x.NList(n)
-	}
-	x.SetLegacyNList(true)
-	for _, n := range nodes {
-		want := x.NList(n)
-		got := incr[n]
+	for n, want := range wholesaleNList(x.RouteTree()) {
+		got := x.NList(n)
 		if len(got) != len(want) {
 			t.Fatalf("step %d node %d: incremental has %d ids, oracle %d", step, n, len(got), len(want))
 		}
@@ -278,7 +260,37 @@ func compareNListToOracle(t *testing.T, x *Index, step int) {
 			}
 		}
 	}
-	x.SetLegacyNList(false)
+}
+
+// wholesaleNList rebuilds every node's route list by walking the whole
+// RR-tree bottom-up: the NList without the incremental aggregate, kept
+// as the oracle the aggregate must match.
+func wholesaleNList(tree *rtree.Tree) map[rtree.NodeID][]model.RouteID {
+	out := make(map[rtree.NodeID][]model.RouteID)
+	var walk func(n rtree.NodeID) []model.RouteID
+	walk = func(n rtree.NodeID) []model.RouteID {
+		set := make(map[model.RouteID]struct{})
+		if tree.IsLeaf(n) {
+			for _, e := range tree.Entries(n) {
+				set[e.ID] = struct{}{}
+			}
+		} else {
+			for _, c := range tree.Children(n) {
+				for _, id := range walk(c) {
+					set[id] = struct{}{}
+				}
+			}
+		}
+		ids := make([]model.RouteID, 0, len(set))
+		for id := range set {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		out[n] = ids
+		return ids
+	}
+	walk(tree.Root())
+	return out
 }
 
 // TestReturnedSlicesAreCopies asserts the API-boundary contract: slices

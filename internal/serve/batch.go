@@ -42,8 +42,7 @@ type opResult struct {
 // goroutine that drains it. Transition ops route to their shard's
 // pipeline (see pipelineFor), so two shards' batches commit
 // concurrently under disjoint locks. shard == -1 is the barrier
-// pipeline, whose commits span every shard: expiry sweeps and — in
-// SinglePipeline mode — everything.
+// pipeline, whose commits span every shard: expiry sweeps.
 type shardPipeline struct {
 	e          *Engine
 	shard      int // -1: barrier
@@ -159,12 +158,7 @@ func (p *shardPipeline) applyShard(batch []writeOp) {
 	}
 	if len(jAdded)+len(jRemoved) > 0 {
 		newEpoch := e.epochShard[s].Add(1)
-		if e.opts.PurgeOnWrite {
-			e.cache.Purge()
-			e.mx.cachePurges.Inc()
-		} else {
-			e.journals[s].append(journalBatch{epoch: newEpoch, added: jAdded, removed: jRemoved, radii: &memo})
-		}
+		e.journals[s].append(journalBatch{epoch: newEpoch, added: jAdded, removed: jRemoved, radii: &memo})
 	}
 	e.mx.radiusProbes.Add(uint64(2 * len(jAdded) * len(memo.byK)))
 	e.broadcast(events)
@@ -181,11 +175,11 @@ func (p *shardPipeline) applyShard(batch []writeOp) {
 	}
 }
 
-// applyBarrier commits a coalesced batch under (structMu.R, every
-// shardMu.W in ascending order): the whole index is quiesced, as an
-// expiry sweep may touch any shard. In SinglePipeline mode every
-// mutation comes through here, reproducing the pre-vector-epoch
-// engine: one global write path, eager cache repair inside the commit.
+// applyBarrier commits a coalesced batch of expiry sweeps under
+// (structMu.R, every shardMu.W in ascending order): the whole index is
+// quiesced, as a sweep may touch any shard. Every shard a sweep changed
+// advances its epoch and journals its removals, exactly as a shard
+// pipeline's commit would.
 func (p *shardPipeline) applyBarrier(batch []writeOp) {
 	e := p.e
 	start := time.Now()
@@ -195,108 +189,24 @@ func (p *shardPipeline) applyBarrier(batch []writeOp) {
 	shards := len(e.shardMu)
 	results := make([]opResult, len(batch))
 	var events []monitor.Event
-	jAdded := make([][]model.TransitionID, shards)
 	jRemoved := make([][]model.TransitionID, shards)
-	// Net delta in op order, for the eager repair walk (SinglePipeline).
-	var delta *batchDelta
-	if e.opts.SinglePipeline && !e.opts.PurgeOnWrite {
-		delta = newBatchDelta()
-	}
 
 	e.structMu.RLock()
 	for s := 0; s < shards; s++ {
 		e.shardMu[s].Lock()
 	}
-	oldVec := e.epochVecQuiescent()
-	for i := 0; i < len(batch); {
-		j := i
-		for j < len(batch) && batch[j].kind == batch[i].kind {
-			j++
-		}
-		run := batch[i:j]
-		switch batch[i].kind {
-		case opAddTransition:
-			// Group by home shard so placement matches the per-shard
-			// pipelines' and the sub-batch insert stays per-tree.
-			byShard := make([][]int, shards)
-			for k := range run {
-				h := e.idx.HomeShard(run[k].t.ID)
-				byShard[h] = append(byShard[h], i+k)
-			}
-			for h, idxs := range byShard {
-				if len(idxs) == 0 {
-					continue
-				}
-				ts := make([]model.Transition, len(idxs))
-				for k, bi := range idxs {
-					ts[k] = batch[bi].t
-				}
-				// No journal on this path (SinglePipeline repairs eagerly),
-				// so nobody wants the stored radii.
-				errs, _ := e.idx.AddBatchToShard(h, ts)
-				events = append(events, e.mon.ApplyAdds(ts, errs)...)
-				for k, bi := range idxs {
-					results[bi] = opResult{err: errs[k]}
-					if errs[k] == nil {
-						jAdded[h] = append(jAdded[h], ts[k].ID)
-						if delta != nil {
-							delta.add(ts[k])
-						}
-					}
-				}
-			}
-		case opRemoveTransition:
-			ids := make([]model.TransitionID, len(run))
-			for k := range run {
-				ids[k] = run[k].id
-			}
-			removed, perShard := e.idx.RemoveBatchAnyShard(ids)
-			events = append(events, e.mon.ApplyRemoves(ids, removed)...)
-			for k := range run {
-				results[i+k] = opResult{existed: removed[k]}
-				if removed[k] && delta != nil {
-					delta.remove(ids[k])
-				}
-			}
-			for s, list := range perShard {
-				jRemoved[s] = append(jRemoved[s], list...)
-			}
-		case opExpire:
-			for k, op := range run {
-				victims := e.idx.DrainTimedBeforeLocked(op.cutoff)
-				removed, perShard := e.idx.RemoveBatchAnyShard(victims)
-				events = append(events, e.mon.ApplyRemoves(victims, removed)...)
-				results[i+k] = opResult{n: len(victims)}
-				for s, list := range perShard {
-					jRemoved[s] = append(jRemoved[s], list...)
-				}
-				if delta != nil {
-					for _, id := range victims {
-						delta.remove(id)
-					}
-				}
-			}
-		}
-		i = j
-	}
-	changed := false
-	for s := 0; s < shards; s++ {
-		if len(jAdded[s])+len(jRemoved[s]) == 0 {
-			continue
-		}
-		changed = true
-		newEpoch := e.epochShard[s].Add(1)
-		if !e.opts.PurgeOnWrite && !e.opts.SinglePipeline {
-			e.journals[s].append(journalBatch{epoch: newEpoch, added: jAdded[s], removed: jRemoved[s]})
+	for i, op := range batch {
+		victims := e.idx.DrainTimedBeforeLocked(op.cutoff)
+		removed, perShard := e.idx.RemoveBatchAnyShard(victims)
+		events = append(events, e.mon.ApplyRemoves(victims, removed)...)
+		results[i] = opResult{n: len(victims)}
+		for s, list := range perShard {
+			jRemoved[s] = append(jRemoved[s], list...)
 		}
 	}
-	if changed {
-		switch {
-		case e.opts.PurgeOnWrite:
-			e.cache.Purge()
-			e.mx.cachePurges.Inc()
-		case e.opts.SinglePipeline:
-			e.repairEagerLocked(oldVec, delta)
+	for s, list := range jRemoved {
+		if len(list) > 0 {
+			e.journals[s].append(journalBatch{epoch: e.epochShard[s].Add(1), removed: list})
 		}
 	}
 	e.broadcast(events)
@@ -316,14 +226,10 @@ func (p *shardPipeline) applyBarrier(batch []writeOp) {
 }
 
 // pipelineFor routes an op to its owning pipeline: adds and removes go
-// to the ID's home shard, which is where the index keeps it; cross-shard
-// ops (expiry) and everything in SinglePipeline mode go to the barrier.
-// Routing by ID keeps one ID's ops on one queue, preserving their
-// submission order.
+// to the ID's home shard, which is where the index keeps it; expiry,
+// which spans shards, goes to the barrier. Routing by ID keeps one ID's
+// ops on one queue, preserving their submission order.
 func (e *Engine) pipelineFor(op *writeOp) *shardPipeline {
-	if e.opts.SinglePipeline {
-		return e.barrier
-	}
 	switch op.kind {
 	case opAddTransition:
 		return e.pipes[e.idx.HomeShard(op.t.ID)]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -193,46 +194,44 @@ func TestRkNNTBatchOneEpochUnderWrites(t *testing.T) {
 	}
 }
 
-// TestShardedCacheChurnMatchesOracle drives the default sharded-cache
-// engine and a recompute-everything oracle (single-mutex legacy cache,
-// PurgeOnWrite) through identical write churn, comparing every query's
-// answer — so cache sharding must preserve the journal-replay repair
-// semantics exactly. Concurrent background queriers hammer the sharded
+// TestShardedCacheChurnMatchesOracle drives the sharded-cache engine
+// through write churn and checks every answer against brute force over
+// its current index, so cache sharding must preserve the journal-replay
+// repair semantics exactly. Concurrent background queriers hammer the
 // engine throughout to expose cross-shard races under -race.
 func TestShardedCacheChurnMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	build := func() *index.Index {
-		r2 := rand.New(rand.NewSource(55))
-		ds := &model.Dataset{}
-		stopPts := make([]geo.Point, 30)
-		for i := range stopPts {
-			stopPts[i] = geo.Pt(r2.Float64()*40, r2.Float64()*40)
-		}
-		for r := 0; r < 20; r++ {
-			n := 2 + r2.Intn(4)
-			route := model.Route{ID: int32(r + 1)}
-			for i := 0; i < n; i++ {
-				s := int32(r2.Intn(30))
-				route.Stops = append(route.Stops, s)
-				route.Pts = append(route.Pts, stopPts[s])
-			}
-			ds.Routes = append(ds.Routes, route)
-		}
-		x, err := index.BuildOpts(ds, index.Options{TRShards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x
+	r2 := rand.New(rand.NewSource(55))
+	ds := &model.Dataset{}
+	stopPts := make([]geo.Point, 30)
+	for i := range stopPts {
+		stopPts[i] = geo.Pt(r2.Float64()*40, r2.Float64()*40)
 	}
-	main := New(build(), Options{CacheSize: 64, CacheShards: 8})
+	for r := 0; r < 20; r++ {
+		n := 2 + r2.Intn(4)
+		route := model.Route{ID: int32(r + 1)}
+		for i := 0; i < n; i++ {
+			s := int32(r2.Intn(30))
+			route.Stops = append(route.Stops, s)
+			route.Pts = append(route.Pts, stopPts[s])
+		}
+		ds.Routes = append(ds.Routes, route)
+	}
+	x, err := index.BuildOpts(ds, index.Options{TRShards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	main := New(x, Options{CacheSize: 64})
 	defer main.Close()
-	oracle := New(build(), Options{CacheSize: 64, CacheShards: 1, PurgeOnWrite: true})
-	defer oracle.Close()
-	if _, ok := main.cache.(*shardedCache); !ok {
-		t.Fatalf("main engine cache is %T, want *shardedCache", main.cache)
-	}
-	if _, ok := oracle.cache.(*lruCache); !ok {
-		t.Fatalf("oracle engine cache is %T, want *lruCache", oracle.cache)
+	// repaired counts answers, foreground and background, that were
+	// brought forward by journal replay.
+	var repaired atomic.Int64
+	query := func(q []geo.Point, opts core.Options) (*QueryResult, error) {
+		res, err := main.RkNNT(q, opts)
+		if err == nil && res.Repaired {
+			repaired.Add(1)
+		}
+		return res, err
 	}
 
 	queries := make([][]geo.Point, 8)
@@ -261,7 +260,7 @@ func TestShardedCacheChurnMatchesOracle(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := main.RkNNT(queries[r.Intn(len(queries))], optsSet[r.Intn(len(optsSet))]); err != nil {
+				if _, err := query(queries[r.Intn(len(queries))], optsSet[r.Intn(len(optsSet))]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -282,9 +281,6 @@ func TestShardedCacheChurnMatchesOracle(t *testing.T) {
 			if err := main.AddTransition(tr); err != nil {
 				t.Fatal(err)
 			}
-			if err := oracle.AddTransition(tr); err != nil {
-				t.Fatal(err)
-			}
 			live = append(live, tr.ID)
 		} else {
 			i := rng.Intn(len(live))
@@ -293,27 +289,22 @@ func TestShardedCacheChurnMatchesOracle(t *testing.T) {
 			if _, err := main.RemoveTransition(id); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := oracle.RemoveTransition(id); err != nil {
-				t.Fatal(err)
-			}
 		}
 		q := queries[rng.Intn(len(queries))]
 		opts := optsSet[rng.Intn(len(optsSet))]
-		got, err := main.RkNNT(q, opts)
+		got, err := query(q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracle.RkNNT(q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Transitions, want.Transitions) &&
-			!(len(got.Transitions) == 0 && len(want.Transitions) == 0) {
-			t.Fatalf("step %d: sharded %v, oracle %v", step, got.Transitions, want.Transitions)
+		if want := bruteForce(t, main, q, opts); !sameIDs(got.Transitions, want) {
+			t.Fatalf("step %d %+v (repaired=%v): sharded %v, brute force %v", step, opts, got.Repaired, got.Transitions, want)
 		}
 	}
 	close(stop)
 	wg.Wait()
+	if repaired.Load() == 0 {
+		t.Fatal("no answer was repaired; the churn never exercised journal replay")
+	}
 	if s := main.EngineStats(); len(s.CacheShardEntries) != 8 {
 		t.Fatalf("CacheShardEntries: got %d shards, want 8", len(s.CacheShardEntries))
 	} else {

@@ -65,22 +65,11 @@ func BenchmarkEngineMixed90_10(b *testing.B) {
 
 // BenchmarkEngineMixed50_50 is the write-heavy preset: half cached
 // RkNNT reads, half transition writes (70% adds / 30% removes of live
-// IDs). This is the workload the per-shard write pipelines target; run
-// with -benchtime and compare against BenchmarkEngineMixed50_50Single
-// to see what lazy journal repair buys over the eager per-commit walk.
+// IDs). This is the workload the per-shard write pipelines and lazy
+// journal repair target.
 func BenchmarkEngineMixed50_50(b *testing.B) {
-	benchMixed50_50(b, Options{CacheSize: 256})
-}
-
-// BenchmarkEngineMixed50_50Single is the same workload through the
-// pre-refactor engine shape: one barrier pipeline, eager cache repair.
-func BenchmarkEngineMixed50_50Single(b *testing.B) {
-	benchMixed50_50(b, Options{CacheSize: 256, SinglePipeline: true})
-}
-
-func benchMixed50_50(b *testing.B, opts Options) {
 	city, x := testCity(b)
-	e := New(x, opts)
+	e := New(x, Options{CacheSize: 256})
 	defer e.Close()
 
 	rng := rand.New(rand.NewSource(11))

@@ -7,7 +7,8 @@ import (
 	"repro/internal/obs"
 )
 
-// lruCache is an LRU cache for query results, bounded twice: by entry
+// lruCache is one way of the engine's result cache (shardedCache,
+// shardcache.go): an LRU cache for query results, bounded twice: by entry
 // count (cap, the -cache flag) and by the bytes its answers hold
 // (budget). The byte bound is what keeps memory flat when queries never
 // repeat: a result list runs to thousands of IDs, so a cache that fills
@@ -125,26 +126,6 @@ func (c *lruCache) evict() {
 	}
 }
 
-// RepairAll calls fn on every cached value, replacing the value with
-// fn's non-nil return and evicting the entry when fn returns nil. fn must
-// not touch the cache. Values are replaced, never mutated, so readers
-// holding a previously returned value are unaffected.
-func (c *lruCache) RepairAll(fn func(any) any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*lruEntry)
-		if v := fn(ent.val); v != nil {
-			c.setVal(ent, v)
-		} else {
-			c.remove(el)
-		}
-		el = next
-	}
-	c.evict()
-}
-
 // Update replaces key's value with new only if it still holds old — a
 // compare-and-swap, so a lazy repair computed from a stale entry can
 // never clobber a fresher value that a racing recompute or repair
@@ -174,12 +155,4 @@ func (c *lruCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// ShardLens satisfies resultCache: the unsharded cache is one shard.
-func (c *lruCache) ShardLens() []int { return []int{c.Len()} }
-
-// Counters returns the cumulative hit and miss counts.
-func (c *lruCache) Counters() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
 }

@@ -4,16 +4,17 @@
 //
 // Design:
 //
-//   - An RWMutex guards the index. Queries hold the read side; all
-//     mutations are funnelled through one writer goroutine that holds
-//     the write side, so queries observe a consistent snapshot and the
+//   - Read-write locks guard the index: one for the route structures and
+//     one per TR-tree shard (see Engine). Queries hold every read side;
+//     each shard's mutations are funnelled through that shard's writer
+//     goroutine, and expiry sweeps through a barrier writer that holds
+//     every shard, so queries observe a consistent snapshot and the
 //     paper's algorithms need no internal locking.
 //   - Transition writes (add / remove / expire) are queued and
-//     coalesced: whatever has accumulated while the previous batch was
-//     committing is applied under a single lock acquisition and one
-//     epoch bump — the batching the ROADMAP's serving scenario calls
-//     for. Runs of same-kind ops hand their per-shard tree mutations to
-//     the index as one parallel sub-batch.
+//     coalesced: whatever has accumulated on a pipeline while its
+//     previous batch was committing is applied under a single lock
+//     acquisition and one epoch bump. Runs of same-kind ops hand their
+//     tree mutations to the index as one sub-batch.
 //   - Identical concurrent queries (same geometry, k, method,
 //     semantics, time window) compute once and share the result.
 //   - Standing queries are maintained incrementally by the existing
@@ -22,18 +23,22 @@
 //
 // # Epoch semantics
 //
-// A single uint64 epoch versions the index. Invariants:
+// A vector epoch versions the index (epoch.go): one structural counter
+// and one counter per TR-tree shard. Invariants:
 //
-//   - The epoch advances on every committed write batch and every route
-//     change, always under the write lock, and never moves otherwise: a
-//     fixed epoch identifies an immutable logical snapshot.
-//   - Cached query results carry the epoch they were computed at.
-//     Committed transition batches repair entries in place (repair.go)
-//     and stamp them forward; route changes, which shift every rank,
-//     purge instead. In-flight dedup keys include the epoch, so a query
-//     never adopts a result computed over an older snapshot.
-//   - The epoch is persisted in engine snapshots (snapshot.go) and
-//     re-seeded through Options.InitialEpoch on warm starts, so the
+//   - A shard's counter advances on every batch that changes the shard,
+//     the structural counter on every route change, always under the
+//     write lock, and never otherwise: a fixed vector identifies an
+//     immutable logical snapshot.
+//   - Cached query results carry the vector they were computed at. There
+//     is one coherence policy: every commit appends its delta to its
+//     shard's journal (journal.go), a stale hit replays the batches it
+//     missed at read time (repair.go), and a route change, which shifts
+//     every rank, purges the cache and the journals. In-flight dedup
+//     keys include the vector, so a query never adopts a result computed
+//     over an older snapshot.
+//   - The vector is persisted in engine snapshots (snapshot.go) and
+//     re-seeded through Options.InitialEpochs on warm starts, so the
 //     version sequence observed by clients is monotonic across process
 //     restarts serving the same data lineage.
 //

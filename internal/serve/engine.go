@@ -20,13 +20,9 @@ type Options struct {
 	// CacheSize is the query-result LRU capacity (entries). Default 1024
 	// for engines built directly; rknnt-serve's -cache flag defaults to
 	// 4096. Whatever the entry cap, the cache also holds at most
-	// cacheByteBudget bytes of answers (cache.go).
+	// cacheByteBudget bytes of answers (cache.go), split evenly across
+	// defaultCacheShards ways (shardcache.go).
 	CacheSize int
-	// CacheShards is how many independently locked ways the result cache
-	// is split into (rounded up to a power of two; capacity divides
-	// evenly among them). 1 selects the legacy single-mutex LRU — the
-	// differential-test oracle. Default 8.
-	CacheShards int
 	// MaxBatch caps how many queued writes one batch may coalesce.
 	// Default 256.
 	MaxBatch int
@@ -50,18 +46,6 @@ type Options struct {
 	// leftover counts into the structural counter (Sum is preserved).
 	InitialEpochs EpochVec
 
-	// SinglePipeline routes every mutation through one barrier pipeline
-	// (every commit takes all shard locks) and repairs the cache eagerly
-	// inside each commit — the pre-vector-epoch engine's write path.
-	// It exists as the reference configuration for the shard-scaling
-	// benchmark; production engines leave it false.
-	SinglePipeline bool
-	// PurgeOnWrite makes every committed batch purge the result cache
-	// instead of journaling deltas for repair. This is the
-	// recompute-everything oracle the repair differential tests compare
-	// against; production engines leave it false.
-	PurgeOnWrite bool
-
 	// SlowLog, when non-nil, samples executed queries whose end-to-end
 	// latency meets its threshold: each gets a per-stage trace recorded
 	// from request arrival and kept in the log's ring. Nil disables
@@ -72,9 +56,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 1024
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = defaultCacheShards
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 256
@@ -98,8 +79,8 @@ func (o *Options) fill() {
 //   - shardMu[s] guards TR-tree shard s. A shard pipeline's commit
 //     takes only its own shard lock (plus structMu shared), so two
 //     shards commit under disjoint locks; queries take every shard
-//     lock shared (rlockAll); barrier commits (expiry, single-pipeline
-//     mode) take every shard lock exclusive.
+//     lock shared (rlockAll); barrier commits (expiry) take every shard
+//     lock exclusive.
 //
 // All acquisition is ordered structMu then shardMu[0..n-1] ascending,
 // so the lock graph is acyclic.
@@ -115,7 +96,7 @@ type Engine struct {
 	epochStruct atomic.Uint64
 	epochShard  []atomic.Uint64
 
-	cache    resultCache
+	cache    *shardedCache
 	journals []shardJournal
 	flight   flightGroup
 
@@ -181,11 +162,7 @@ func New(idx *index.Index, opts Options) *Engine {
 	}
 	e.barrier = &shardPipeline{e: e, shard: -1, ch: make(chan writeOp, opts.QueueDepth)}
 	e.mx = newEngineMetrics(e, shards)
-	if opts.CacheShards == 1 {
-		e.cache = newLRUCache(opts.CacheSize, cacheByteBudget, e.mx.cacheHits, e.mx.cacheMisses)
-	} else {
-		e.cache = newShardedCache(opts.CacheSize, opts.CacheShards, e.mx.cacheHits, e.mx.cacheMisses)
-	}
+	e.cache = newShardedCache(opts.CacheSize, defaultCacheShards, e.mx.cacheHits, e.mx.cacheMisses)
 	idx.SetObserver(e.mx.observer())
 	e.mon.SetMetrics(e.mx.mon)
 	for s := range e.pipes {
@@ -560,8 +537,8 @@ type Stats struct {
 	BarrierQueueDepth int   `json:"barrier_queue_depth"`
 
 	CacheEntries int `json:"cache_entries"`
-	// CacheShardEntries[s] is shard s's live entry count (one element
-	// when the legacy unsharded cache is selected).
+	// CacheShardEntries[s] is cache way s's live entry count (always
+	// defaultCacheShards elements).
 	CacheShardEntries []int  `json:"cache_shard_entries"`
 	CacheHits         uint64 `json:"cache_hits"`
 	CacheMisses       uint64 `json:"cache_misses"`

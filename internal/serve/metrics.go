@@ -111,8 +111,8 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 
 		cacheHits:    reg.Counter("rknnt_cache_hits_total", "Result-cache hits at the current epoch."),
 		cacheMisses:  reg.Counter("rknnt_cache_misses_total", "Result-cache misses."),
-		cacheRepairs: reg.Counter("rknnt_cache_repairs_total", "Cached results repaired forward by committed write batches."),
-		cachePurges:  reg.Counter("rknnt_cache_purges_total", "Full result-cache purges (route changes, oversized deltas)."),
+		cacheRepairs: reg.Counter("rknnt_cache_repairs_total", "Stale cached results repaired forward at read time by replaying the shard journals."),
+		cachePurges:  reg.Counter("rknnt_cache_purges_total", "Full result-cache purges (route changes)."),
 		dedupHits:    reg.Counter("rknnt_inflight_dedup_total", "Queries served by sharing an identical in-flight execution."),
 
 		repairReplayOps: reg.Histogram("rknnt_repair_replay_ops", "Journal ops (adds checked + removals spliced) replayed per repaired stale cache hit.", 1),

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -33,10 +32,7 @@ import (
 // The engine repairs LAZILY: a commit only appends its delta to the
 // shard's journal, and a stale cache hit replays, at read time, exactly
 // the journal batches its epoch sub-vector missed. Entries that are
-// never read again never pay. The pre-vector engine instead walked the
-// whole cache inside every commit — that eager walk survives as
-// repairEagerLocked for Options.SinglePipeline, the benchmark's
-// reference configuration, and still rank-probes per cached entry.
+// never read again never pay.
 //
 // Replay is order-insensitive, so batches gathered from different shard
 // journals need no global ordering: ALL removals splice first, then
@@ -53,10 +49,6 @@ import (
 // budget (tuning.go), which replaces it as soon as both the recompute
 // cost and the per-op replay cost have been measured.
 const repairReplayOps = 1024
-
-// repairAddBudget caps adds x cached-entries per eager repair walk
-// (SinglePipeline); beyond it a purge-and-recompute is cheaper.
-const repairAddBudget = 32768
 
 // tryRepair brings a stale cache hit forward to the current epoch
 // vector by replaying the shard journals it missed, under the engine
@@ -188,130 +180,10 @@ func (e *Engine) addMatches(ent *cachedQuery, t *model.Transition, memo addRadii
 	return o || geo.PointRouteDist2(t.D, ent.query) <= memo.rd2
 }
 
-// batchDelta is the net effect of one coalesced write batch on the
-// transition set, folded in op order: whatever a transition's final
-// disposition is within the batch wins (an add followed by a remove is
-// a removal; a remove followed by a re-add is an add with the new
-// data). Only the eager path needs this folding — lazy replay is
-// order-insensitive and works from raw ID lists.
-type batchDelta struct {
-	added   map[model.TransitionID]model.Transition
-	removed map[model.TransitionID]bool
-}
-
-func newBatchDelta() *batchDelta {
-	return &batchDelta{}
-}
-
-func (d *batchDelta) add(t model.Transition) {
-	if d.added == nil {
-		d.added = make(map[model.TransitionID]model.Transition)
-	}
-	d.added[t.ID] = t
-	delete(d.removed, t.ID)
-}
-
-func (d *batchDelta) remove(id model.TransitionID) {
-	if d.removed == nil {
-		d.removed = make(map[model.TransitionID]bool)
-	}
-	d.removed[id] = true
-	delete(d.added, id)
-}
-
-// repairEagerLocked walks the whole result cache inside a barrier
-// commit, bringing every entry at oldVec forward to the post-commit
-// vector — the pre-vector-epoch engine's write path, kept for
-// Options.SinglePipeline. Entries at any other vector are stragglers
-// from an in-flight Put that raced an earlier commit; with no journals
-// to repair them later (SinglePipeline appends none), they are evicted.
-// Called with the structural and every shard lock held exclusively, so
-// the rank checks observe exactly the post-batch index.
-func (e *Engine) repairEagerLocked(oldVec EpochVec, delta *batchDelta) {
-	if len(delta.added)*e.cache.Len() > repairAddBudget {
-		e.cache.Purge()
-		e.mx.cachePurges.Inc()
-		return
-	}
-	newVec := e.epochVecQuiescent()
-	removedSet := delta.removed
-	added := make([]model.Transition, 0, len(delta.added))
-	for id, t := range delta.added {
-		// Belt and braces: only transitions still live in the index may
-		// enter cached results (the rank check itself is purely
-		// geometric and would not notice a dead one).
-		if _, live := e.idx.TransitionValue(id); live {
-			added = append(added, t)
-		}
-	}
-	repaired := 0
-	e.cache.RepairAll(func(v any) any {
-		ent := v.(*cachedQuery)
-		if !ent.res.Epochs.Equal(oldVec) {
-			return nil // stale straggler: evict
-		}
-		ids := ent.res.Transitions
-		changed := false
-		if removedSet != nil {
-			kept := ids[:0:0]
-			for _, id := range ids {
-				if removedSet[id] {
-					changed = true
-					continue
-				}
-				kept = append(kept, id)
-			}
-			if changed {
-				ids = kept
-			}
-		}
-		for i := range added {
-			t := &added[i]
-			if !inWindow(ent.opts, t) {
-				continue
-			}
-			if !e.transitionMatches(ent, t) {
-				continue
-			}
-			i := sort.Search(len(ids), func(i int) bool { return ids[i] >= t.ID })
-			if i < len(ids) && ids[i] == t.ID {
-				continue
-			}
-			if !changed {
-				ids = append([]model.TransitionID(nil), ids...)
-				changed = true
-			}
-			ids = append(ids, 0)
-			copy(ids[i+1:], ids[i:])
-			ids[i] = t.ID
-		}
-		repaired++
-		stats := ent.res.Stats
-		stats.Results = len(ids)
-		return &cachedQuery{
-			res:     &QueryResult{Transitions: ids, Stats: stats, Epoch: newVec.Sum(), Epochs: newVec},
-			query:   ent.query,
-			opts:    ent.opts,
-			touched: ent.touched,
-		}
-	})
-	e.mx.cacheRepairs.Add(uint64(repaired))
-}
-
 // inWindow replicates core's temporal-window filter for one transition.
 func inWindow(opts core.Options, t *model.Transition) bool {
 	if opts.TimeFrom == 0 && opts.TimeTo == 0 {
 		return true
 	}
 	return t.Time >= opts.TimeFrom && t.Time <= opts.TimeTo
-}
-
-// transitionMatches is addMatches by one RR-tree rank probe per endpoint
-// and cached query; only the eager walk (repairEagerLocked) uses it.
-func (e *Engine) transitionMatches(ent *cachedQuery, t *model.Transition) bool {
-	o := core.TakesQueryAsKNN(e.idx, ent.query, t.O, ent.opts.K)
-	if ent.opts.Semantics == core.ForAll {
-		return o && core.TakesQueryAsKNN(e.idx, ent.query, t.D, ent.opts.K)
-	}
-	return o || core.TakesQueryAsKNN(e.idx, ent.query, t.D, ent.opts.K)
 }

@@ -212,9 +212,10 @@ func repairAddRemoveSameBatch(t *testing.T, shards int) {
 	}
 }
 
-// TestRepairBudgetFallsBackToPurge floods one batch with more adds than
-// the repair budget allows for the cache size and checks correctness is
-// preserved via the purge path.
+// TestRepairBudgetFallsBackToPurge floods the write path with more adds
+// than a shard journal retains (and than the replay budget allows), so
+// the stale cache entry cannot be replayed: the read must fall back to a
+// recompute, and its answer must equal a fresh computation.
 func TestRepairBudgetFallsBackToPurge(t *testing.T) {
 	x := twoRoutes(t, model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)})
 	e := New(x, Options{})
@@ -223,7 +224,7 @@ func TestRepairBudgetFallsBackToPurge(t *testing.T) {
 	if _, err := e.RkNNT(queryY0, opts); err != nil {
 		t.Fatal(err)
 	}
-	ts := make([]model.Transition, repairAddBudget+1)
+	ts := make([]model.Transition, journalOpCap+1)
 	for i := range ts {
 		ts[i] = model.Transition{
 			ID: model.TransitionID(1000 + i),
@@ -243,6 +244,9 @@ func TestRepairBudgetFallsBackToPurge(t *testing.T) {
 	want, _, err := core.RkNNT(x, queryY0, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got.Repaired {
+		t.Error("a read behind a flood the journals cannot hold was repaired, not recomputed")
 	}
 	if !reflect.DeepEqual(got.Transitions, want) {
 		t.Fatalf("post-flood result %d ids != fresh %d ids", len(got.Transitions), len(want))

@@ -4,41 +4,19 @@ import (
 	"repro/internal/obs"
 )
 
-// resultCache is the engine's query-result cache contract. Two
-// implementations exist: the legacy single-mutex lruCache (cache.go,
-// kept as the differential oracle and selectable with CacheShards=1)
-// and the N-way shardedCache below, which the engine uses by default so
-// concurrent queries stop serializing on one cache mutex.
-type resultCache interface {
-	Get(key string) (any, bool)
-	Put(key string, val any)
-	// Update replaces key's value only if it still holds old (CAS) —
-	// the journal-replay repair path depends on this to never clobber a
-	// fresher racing repair or recompute.
-	Update(key string, old, new any)
-	// RepairAll applies fn to every entry, replacing with fn's non-nil
-	// return and evicting on nil.
-	RepairAll(fn func(any) any)
-	Purge()
-	Len() int
-	// ShardLens reports per-shard entry counts (a single element for the
-	// unsharded cache).
-	ShardLens() []int
-}
-
-// shardedCache splits the result LRU into independently locked shards,
-// selected by a hash of the key. Each shard preserves lruCache's exact
-// semantics — CAS updates, repair-or-evict walks, LRU eviction — so the
-// journal-replay repair invariants carry over shard-locally; what
-// changes is only that eviction pressure is per shard rather than
-// global (entry capacity and the byte budget are both split evenly), and
-// that operations on different shards no longer contend.
+// shardedCache is the engine's query-result cache: the result LRU split
+// into independently locked ways (lruCache, cache.go), selected by a
+// hash of the key, so concurrent queries do not serialize on one cache
+// mutex. Each way keeps lruCache's exact semantics — CAS updates, LRU
+// eviction — so the journal-replay repair invariants hold way-locally;
+// eviction pressure is per way rather than global (entry capacity and
+// the byte budget are both split evenly).
 type shardedCache struct {
 	shards []*lruCache
 	mask   uint32
 }
 
-// defaultCacheShards is the Options.CacheShards default: enough ways
+// defaultCacheShards is the engine's way count: enough ways
 // that a socket's worth of query goroutines rarely collide on one
 // mutex, while keeping per-shard LRU lists long enough to be useful.
 const defaultCacheShards = 8
@@ -74,12 +52,6 @@ func (c *shardedCache) shardFor(key string) *lruCache {
 func (c *shardedCache) Get(key string) (any, bool)      { return c.shardFor(key).Get(key) }
 func (c *shardedCache) Put(key string, val any)         { c.shardFor(key).Put(key, val) }
 func (c *shardedCache) Update(key string, old, new any) { c.shardFor(key).Update(key, old, new) }
-
-func (c *shardedCache) RepairAll(fn func(any) any) {
-	for _, s := range c.shards {
-		s.RepairAll(fn)
-	}
-}
 
 func (c *shardedCache) Purge() {
 	for _, s := range c.shards {

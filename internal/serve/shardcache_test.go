@@ -16,7 +16,7 @@ func newTestShardedCache(capacity, shards int) (*shardedCache, *obs.Counter, *ob
 
 // TestShardedCacheSemantics checks the sharded cache preserves the
 // lruCache contract the repair path depends on: stable key routing, CAS
-// updates, repair-or-evict walks, and consistent Len/ShardLens.
+// updates, and consistent Len/ShardLens.
 func TestShardedCacheSemantics(t *testing.T) {
 	c, hits, misses := newTestShardedCache(64, 8)
 	if len(c.shards) != 8 {
@@ -58,21 +58,6 @@ func TestShardedCacheSemantics(t *testing.T) {
 	c.Update(keys[3], 3, 999) // old mismatch: no-op
 	if v, _ := c.Get(keys[3]); v.(int) != 300 {
 		t.Fatalf("stale Update applied: got %v", v)
-	}
-
-	// RepairAll: replace odd values, evict multiples of 10.
-	c.RepairAll(func(v any) any {
-		n, _ := v.(int)
-		if n%10 == 0 {
-			return nil
-		}
-		return n + 1
-	})
-	if _, ok := c.Get(keys[10]); ok {
-		t.Fatal("RepairAll did not evict")
-	}
-	if v, _ := c.Get(keys[7]); v.(int) != 8 {
-		t.Fatalf("RepairAll did not replace: got %v", v)
 	}
 
 	c.Purge()

@@ -148,38 +148,33 @@ func TestCacheSurvivesOtherShardCommit(t *testing.T) {
 	}
 }
 
-// TestRepairMatchesPurgeOracle is the differential acceptance test for
-// lazy journal repair: a normal engine (journals + read-time replay
-// from memoised rank radii) and an oracle engine (Options.PurgeOnWrite:
-// every commit purges, so every read recomputes) receive the same
-// interleaved per-shard write stream, and every query answer must be
-// byte-identical — for every shard count, several k (one beyond the
-// route count), both semantics and a time window, with queries and
-// arrivals on route stops so distances tie exactly. "Move" steps remove
-// a transition and re-add the same ID elsewhere in a later batch: the
-// radii an earlier batch memoised for that ID describe geometry that no
-// longer exists, and cached entries that have not yet replayed that
-// batch must not trust them.
-func TestRepairMatchesPurgeOracle(t *testing.T) {
+// TestRepairMatchesBruteForce is the differential acceptance test for
+// lazy journal repair: an engine (journals + read-time replay from
+// memoised rank radii) receives an interleaved per-shard write stream,
+// and after every step its answer must equal the definition evaluated
+// by brute force over its own current index — for every shard count,
+// several k (one beyond the route count), both semantics and a time
+// window, with queries and arrivals on route stops so distances tie
+// exactly. "Move" steps remove a transition and re-add the same ID
+// elsewhere in a later batch: the radii an earlier batch memoised for
+// that ID describe geometry that no longer exists, and cached entries
+// that have not yet replayed that batch must not trust them.
+func TestRepairMatchesBruteForce(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			repairVsPurgeChurn(t, shards)
+			repairVsBruteForceChurn(t, shards)
 		})
 	}
 }
 
-func repairVsPurgeChurn(t *testing.T, shards int) {
-	mk := func(purge bool) *Engine {
-		return New(shardedTestIndex(t, shards), Options{PurgeOnWrite: purge})
-	}
-	subject, oracle := mk(false), mk(true)
-	defer subject.Close()
-	defer oracle.Close()
+func repairVsBruteForceChurn(t *testing.T, shards int) {
+	e := New(shardedTestIndex(t, shards), Options{})
+	defer e.Close()
 
 	rng := rand.New(rand.NewSource(23))
 	var stops []geo.Point
 	for id := model.RouteID(1); id <= 24; id++ {
-		stops = append(stops, subject.Route(id).Pts...)
+		stops = append(stops, e.Route(id).Pts...)
 	}
 	point := func() geo.Point {
 		if rng.Intn(4) == 0 {
@@ -200,12 +195,10 @@ func repairVsPurgeChurn(t *testing.T, shards int) {
 		{K: 4, TimeFrom: 50, TimeTo: 20_000},
 		{K: 30}, // more than the 24 routes: infinite radii
 	}
-	both := func(op func(e *Engine) error) {
+	must := func(err error) {
 		t.Helper()
-		for _, e := range []*Engine{subject, oracle} {
-			if err := op(e); err != nil {
-				t.Fatal(err)
-			}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 	live := []model.TransitionID{}
@@ -220,23 +213,26 @@ func repairVsPurgeChurn(t *testing.T, shards int) {
 				now += 7
 			}
 			nextID++
-			both(func(e *Engine) error { return e.AddTransition(tr) })
+			must(e.AddTransition(tr))
 			live = append(live, tr.ID)
 		case op < 8:
 			k := rng.Intn(len(live))
 			victim := live[k]
 			live = append(live[:k], live[k+1:]...)
-			both(func(e *Engine) error { _, err := e.RemoveTransition(victim); return err })
+			_, err := e.RemoveTransition(victim)
+			must(err)
 		case op < 10:
 			moved := model.Transition{ID: live[rng.Intn(len(live))], O: point(), D: point()}
-			both(func(e *Engine) error { _, err := e.RemoveTransition(moved.ID); return err })
-			both(func(e *Engine) error { return e.AddTransition(moved) })
+			_, err := e.RemoveTransition(moved.ID)
+			must(err)
+			must(e.AddTransition(moved))
 		default:
 			cutoff := now - int64(rng.Intn(300))
-			both(func(e *Engine) error { _, err := e.ExpireTransitionsBefore(cutoff); return err })
+			_, err := e.ExpireTransitionsBefore(cutoff)
+			must(err)
 			kept := live[:0]
 			for _, id := range live {
-				if subject.Transition(id) != nil {
+				if e.Transition(id) != nil {
 					kept = append(kept, id)
 				}
 			}
@@ -244,79 +240,78 @@ func repairVsPurgeChurn(t *testing.T, shards int) {
 		}
 		q := queries[rng.Intn(len(queries))]
 		opts := optsSet[rng.Intn(len(optsSet))]
-		got, err := subject.RkNNT(q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := oracle.RkNNT(q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Transitions, want.Transitions) &&
-			!(len(got.Transitions) == 0 && len(want.Transitions) == 0) {
-			t.Fatalf("step %d %+v (repaired=%v): %v != oracle %v", step, opts, got.Repaired, got.Transitions, want.Transitions)
+		got, err := e.RkNNT(q, opts)
+		must(err)
+		if want := bruteForce(t, e, q, opts); !sameIDs(got.Transitions, want) {
+			t.Fatalf("step %d %+v (repaired=%v): %v != brute force %v", step, opts, got.Repaired, got.Transitions, want)
 		}
 	}
-	st := subject.EngineStats()
-	if st.CacheRepairs == 0 {
+	if st := e.EngineStats(); st.CacheRepairs == 0 {
 		t.Fatal("interleaved churn never exercised journal repair")
-	}
-	if ost := oracle.EngineStats(); ost.CacheRepairs != 0 {
-		t.Fatalf("oracle repaired %d entries; PurgeOnWrite must recompute everything", ost.CacheRepairs)
 	}
 }
 
-// TestSinglePipelineMatchesSharded pins the compat mode used as the
-// benchmark baseline: Options.SinglePipeline (one barrier pipeline,
-// eager in-commit repair) must agree with the sharded engine on the
-// same write stream.
-func TestSinglePipelineMatchesSharded(t *testing.T) {
-	sharded := New(shardedTestIndex(t, 4), Options{})
-	single := New(shardedTestIndex(t, 4), Options{SinglePipeline: true})
-	defer sharded.Close()
-	defer single.Close()
+// TestTransitionWritesCommitOnHomeShard pins the one write path: adds
+// and removes commit on their ID's home-shard pipeline and never on the
+// barrier, which only expiry reaches, and the answers over the stream
+// equal brute force.
+func TestTransitionWritesCommitOnHomeShard(t *testing.T) {
+	e := New(shardedTestIndex(t, 4), Options{})
+	defer e.Close()
 
 	rng := rand.New(rand.NewSource(31))
 	q := []geo.Point{geo.Pt(10, 10), geo.Pt(35, 35)}
+	commits := make([]uint64, 4)
 	for step := 0; step < 80; step++ {
 		tr := model.Transition{
-			ID: model.TransitionID(step + 1),
-			O:  geo.Pt(rng.Float64()*50, rng.Float64()*50),
-			D:  geo.Pt(rng.Float64()*50, rng.Float64()*50),
+			ID:   model.TransitionID(step + 1),
+			O:    geo.Pt(rng.Float64()*50, rng.Float64()*50),
+			D:    geo.Pt(rng.Float64()*50, rng.Float64()*50),
+			Time: int64(step),
 		}
-		if err := sharded.AddTransition(tr); err != nil {
+		if err := e.AddTransition(tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := single.AddTransition(tr); err != nil {
-			t.Fatal(err)
-		}
+		commits[e.idx.HomeShard(tr.ID)]++
 		if step%3 == 0 {
 			victim := model.TransitionID(rng.Intn(step+1) + 1)
-			if _, err := sharded.RemoveTransition(victim); err != nil {
+			if _, err := e.RemoveTransition(victim); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := single.RemoveTransition(victim); err != nil {
-				t.Fatal(err)
-			}
+			commits[e.idx.HomeShard(victim)]++
 		}
-		got, err := sharded.RkNNT(q, core.Options{K: 4})
+		got, err := e.RkNNT(q, core.Options{K: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := single.RkNNT(q, core.Options{K: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Transitions, want.Transitions) &&
-			!(len(got.Transitions) == 0 && len(want.Transitions) == 0) {
-			t.Fatalf("step %d: sharded %v != single-pipeline %v", step, got.Transitions, want.Transitions)
+		if want := bruteForce(t, e, q, core.Options{K: 4}); !sameIDs(got.Transitions, want) {
+			t.Fatalf("step %d (repaired=%v): %v != brute force %v", step, got.Repaired, got.Transitions, want)
 		}
 	}
-	// The single-pipeline engine advances exactly one epoch counter per
-	// commit through the barrier; its per-shard counters still track the
-	// shards its batches touched.
-	if single.EpochVector().Sum() == 0 {
-		t.Fatal("single-pipeline engine never advanced its epoch")
+	st := e.EngineStats()
+	if st.BarrierCommit.Count != 0 {
+		t.Fatalf("barrier committed %d batches of transition writes", st.BarrierCommit.Count)
+	}
+	// Each op is its own batch here (every submit waits for its commit),
+	// so a shard's commit count is exactly the ops homed on it.
+	for s, want := range commits {
+		if got := st.ShardCommits[s].Count; got != want {
+			t.Errorf("shard %d: %d commits, want %d", s, got, want)
+		}
+	}
+
+	if _, err := e.ExpireTransitionsBefore(40); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.EngineStats().BarrierCommit.Count; got != 1 {
+		t.Fatalf("expiry: %d barrier commits, want 1", got)
+	}
+	got, err := e.RkNNT(q, core.Options{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bruteForce(t, e, q, core.Options{K: 4}); !sameIDs(got.Transitions, want) {
+		t.Fatalf("after expiry: %v != brute force %v", got.Transitions, want)
 	}
 }
 
