@@ -1,7 +1,7 @@
 package core
 
 import (
-	"slices"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -52,10 +52,55 @@ func planesFor(x *index.Index, opts Options) []*rtree.Plane {
 	return x.RadiusPlanes(opts.K)
 }
 
-// hitPool recycles the (transition, role) hit lists of descents; a hit
-// is id<<1|role, so sorting groups a transition's endpoints, origin
-// first, in ascending ID order.
+// hitPool recycles the (transition, role) hit lists of descents and the
+// scratch lists sortHits fills; a hit is id<<1|role, so sorting groups a
+// transition's endpoints, origin first, in ascending ID order.
 var hitPool = sync.Pool{New: func() any { return new([]int64) }}
+
+// sortHits sorts hits ascending and returns them, either in hits itself
+// or in the first len(hits) elements of *scratch, which it grows as
+// needed. It is an LSD radix sort on h - min in 8-bit digits that skips
+// every digit all keys share, ping-ponging between hits and *scratch.
+// Hits of 32-bit IDs span at most 33 bits, so that is at most five
+// passes; a city of 100k transitions needs three.
+func sortHits(hits []int64, scratch *[]int64) []int64 {
+	n := len(hits)
+	if n < 2 {
+		return hits
+	}
+	lo, hi := hits[0], hits[0]
+	for _, h := range hits[1:] {
+		lo, hi = min(lo, h), max(hi, h)
+	}
+	// Offsets from lo are unsigned, so any int64 span fits.
+	base := uint64(lo)
+	digits := (bits.Len64(uint64(hi)-base) + 7) / 8
+	if cap(*scratch) < n {
+		*scratch = make([]int64, n)
+	}
+	src, dst := hits, (*scratch)[:n]
+	for d := 0; d < digits; d++ {
+		shift := uint(8 * d)
+		var c [256]int
+		for _, h := range src {
+			c[uint8((uint64(h)-base)>>shift)]++
+		}
+		if c[uint8((uint64(src[0])-base)>>shift)] == n {
+			continue // every key has this digit: the pass would copy
+		}
+		sum := 0
+		for b, cnt := range c {
+			c[b], sum = sum, sum+cnt
+		}
+		for _, h := range src {
+			b := uint8((uint64(h) - base) >> shift)
+			dst[c[b]] = h
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
 
 // descend runs the plane descent over every shard and returns the
 // endpoints that take the query as a kNN. Stats.Filter is the descent
@@ -99,13 +144,15 @@ func releaseHits(hp *[]int64) {
 	}
 }
 
-// rknntPlane answers one query from the planes: descend, sort the hits,
-// merge each transition's endpoints and apply semantics and the window.
+// rknntPlane answers one query from the planes: descend, radix-sort the
+// hits (sortHits), merge each transition's endpoints and apply semantics
+// and the window. The answer is in ascending ID order.
 func rknntPlane(x *index.Index, planes []*rtree.Plane, query []geo.Point, opts Options, stats *Stats) []model.TransitionID {
 	hp := descend(x, planes, query, opts, stats)
 	defer releaseHits(hp)
-	hits := *hp
-	slices.Sort(hits)
+	sp := hitPool.Get().(*[]int64)
+	defer releaseHits(sp)
+	hits := sortHits(*hp, sp)
 	distinct := 0
 	for i, h := range hits {
 		if i == 0 || h>>1 != hits[i-1]>>1 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -334,15 +335,125 @@ func BenchmarkRadiusDescent(b *testing.B) {
 	})
 	x.EnsureRadii(opts.K)
 	b.Run("plane", func(b *testing.B) {
+		// hits/op is what sortHits orders per query.
+		hitsOf := make([]int, len(queries))
+		for i, q := range queries {
+			hp := descend(x, planesFor(x, opts), q, opts, &Stats{})
+			hitsOf[i] = len(*hp)
+			releaseHits(hp)
+		}
 		b.ReportAllocs()
-		cands := 0
+		b.ResetTimer()
+		cands, hits := 0, 0
 		for i := 0; i < b.N; i++ {
 			_, stats, err := RkNNT(x, queries[i%len(queries)], opts)
 			if err != nil || !stats.Plane {
 				b.Fatal(err, stats)
 			}
 			cands += stats.Candidates
+			hits += hitsOf[i%len(queries)]
 		}
 		b.ReportMetric(float64(cands)/float64(b.N), "compares/op")
+		b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+	})
+}
+
+// randomHits returns n keys in [lo, lo+span) in random order; when n > 1
+// both ends of the range are among them.
+func randomHits(rng *rand.Rand, n int, lo, span int64) []int64 {
+	hits := make([]int64, n)
+	for i := range hits {
+		hits[i] = lo + rng.Int63n(span)
+	}
+	if n > 1 {
+		hits[rng.Intn(n)] = lo
+		hits[rng.Intn(n)] = lo + span - 1
+	}
+	return hits
+}
+
+// checkSortHits sorts a copy of hits with sortHits and with slices.Sort
+// and fails unless they agree.
+func checkSortHits(t *testing.T, hits []int64, scratch []int64) {
+	t.Helper()
+	want := slices.Clone(hits)
+	slices.Sort(want)
+	got := sortHits(slices.Clone(hits), &scratch)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d hits: sortHits disagrees with slices.Sort", len(hits))
+	}
+}
+
+// TestDescentSortHits: the radix sort rknntPlane orders its hits with is
+// slices.Sort, from empty lists up to twice the benchmark city's hit
+// count, for spans up to that of 32-bit IDs (2^33), with negative IDs,
+// all-equal keys, and a scratch list longer than the hits.
+func TestDescentSortHits(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 5000} {
+		for _, span := range []int64{1, 255, 256, 1 << 17, 1 << 33} {
+			for _, lo := range []int64{0, 2, -1 << 32, -1 << 20} {
+				checkSortHits(t, randomHits(rng, n, lo, span), nil)
+			}
+		}
+	}
+	// All keys equal but one digit, and a scratch list longer than the
+	// hits, holding keys of its own.
+	same := make([]int64, 1000)
+	for i := range same {
+		same[i] = 0x5a5a_0000_5a5a
+	}
+	same[500] |= 0x100
+	long := randomHits(rng, 3*len(same), -9, 1<<40)
+	checkSortHits(t, same, long)
+	checkSortHits(t, randomHits(rng, 600, -1<<32, 1<<33), long)
+	// Any int64 keys: offsets from the minimum are unsigned.
+	extreme := randomHits(rng, 700, math.MinInt64, math.MaxInt64)
+	extreme[3] = math.MaxInt64
+	checkSortHits(t, extreme, nil)
+}
+
+// FuzzDescentSortHits compares sortHits with slices.Sort on n keys of up
+// to spanBits bits above lo (wrapping past the int64 range freely).
+func FuzzDescentSortHits(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint8(17), int64(0))
+	f.Add(int64(2), uint16(5000), uint8(33), int64(-1<<32))
+	f.Add(int64(3), uint16(256), uint8(0), int64(7))
+	f.Add(int64(4), uint16(1000), uint8(64), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, spanBits uint8, lo int64) {
+		rng := rand.New(rand.NewSource(seed))
+		mask := uint64(1)<<(spanBits%65) - 1 // 1<<64 is 0: all bits
+		hits := make([]int64, int(n)%6000)
+		for i := range hits {
+			hits[i] = int64(uint64(lo) + rng.Uint64()&mask)
+		}
+		checkSortHits(t, hits, nil)
+	})
+}
+
+// BenchmarkDescentSortHits orders one query's hits as the benchmark's
+// city (NYC at 1/4 scale: 48 958 transitions, ~2 500 hits per plane
+// query at k = 10) produces them: distinct keys in descent, not ID,
+// order. "radix" is sortHits, "compare" the slices.Sort it replaced.
+func BenchmarkDescentSortHits(b *testing.B) {
+	const hits, transitions = 2500, 48958
+	rng := rand.New(rand.NewSource(27))
+	in := make([]int64, 0, hits)
+	for _, k := range rng.Perm(2 * transitions)[:hits] {
+		in = append(in, int64(k+2)) // IDs start at 1
+	}
+	work := make([]int64, hits)
+	var scratch []int64
+	b.Run("radix", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(work, in)
+			sortHits(work, &scratch)
+		}
+	})
+	b.Run("compare", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(work, in)
+			slices.Sort(work)
+		}
 	})
 }

@@ -53,8 +53,10 @@
 // endpoint stores r²_k and every node the largest r² beneath it, and
 // RkNNT, EndpointMasks and BatchRkNNT answer by one descent
 // (descent.go): skip a node when MinDist2(Q, node) exceeds its largest
-// radius, compare PointRouteDist2(t, Q) <= r²_k(t) at the leaves, sort
-// the (transition, role) hits and merge. By the identity above the
+// radius, compare PointRouteDist2(t, Q) <= r²_k(t) at the leaves,
+// radix-sort the (transition, role) hits on their offset from the
+// smallest (sortHits) and merge each transition's endpoints in
+// ascending ID order. By the identity above the
 // result is the pipeline's, bit for bit; Stats.Plane reports which path
 // ran. BruteForce and the NoCrossover/NoNList/NoKernel ablations always
 // run the pipeline — they exist to measure it — as does any k other than

@@ -13,8 +13,9 @@ import (
 // would serve it — cache probe, journal repair of stale hits,
 // intra-batch dedup of identical queries — and the cache misses execute
 // through core.BatchRkNNT: concurrent single queries, each a plane
-// descent or the pipeline as its k decides. results[i] answers
-// queries[i].
+// descent or the pipeline as its k decides. A request that executed any
+// miss counts once toward its k's plane admission (plane.go), as one
+// single-query miss does. results[i] answers queries[i].
 //
 // The misses execute under one read-lock acquisition, so every one is
 // answered at the same epoch vector. An execution error (invalid
@@ -71,6 +72,7 @@ func (e *Engine) RkNNTBatch(queries [][]geo.Point, opts core.Options) ([]*QueryR
 		if err != nil {
 			return nil, err
 		}
+		e.notePlaneDemand(opts) // once per request, however many members ran
 		for i, qi := range execIdx {
 			stats := statsAll[i]
 			e.mx.addQueryTotals(stats)

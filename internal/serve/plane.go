@@ -19,15 +19,20 @@ import (
 //
 //   - only k <= maxPlaneK ever gets a plane;
 //   - a k earns the plane by traffic, never by asking once: with no plane,
-//     planeAdmitAfter executed queries at k inside one window of
-//     planeWindow; with a plane at another k, only at a window boundary
+//     planeAdmitAfter executed requests at k (a single miss, or a batch
+//     that executed a miss) inside one window of planeWindow such
+//     requests; with a plane at another k, only at a window boundary
 //     and only by out-counting the incumbent two to one over that window.
 //     A plane whose k lost to traffic beyond maxPlaneK is dropped;
-//   - only single queries (Engine.RkNNT misses) count. A batch or a plan
-//     request carries tens to hundreds of queries, so counting them would
-//     let one request take or move the plane; both descend a plane that
-//     single-query traffic has earned (core.BatchRkNNT, EndpointMasks)
-//     and run the pipeline otherwise;
+//   - a request counts once: a single query that missed the cache
+//     (Engine.RkNNT), and a batch request that executed at least one miss
+//     (Engine.RkNNTBatch), however many members it carries — counting
+//     members would let one request take or move the plane. A plan's
+//     precompute does not count: it runs once per write a plan follows,
+//     over a query per network vertex at the planner's own k, and no
+//     measurement yet says planning traffic should move the plane. It
+//     descends a plane that other traffic has earned (EndpointMasks) and
+//     runs the pipeline otherwise;
 //   - no request builds a plane. The query that tips the count — like
 //     every query at a k without a plane — runs the paper's pipeline and
 //     returns; a background goroutine builds, and queries switch to the
@@ -46,8 +51,9 @@ const (
 	planeProbeChunk = 2048 // endpoints probed per structMu.R hold (a few ms)
 )
 
-// planeAdmission counts executed plane-eligible queries per k over the
-// current window. Slot 0 stands for every k beyond maxPlaneK.
+// planeAdmission counts executed plane-eligible requests (a single miss,
+// or a batch that executed a miss) per k over the current window. Slot 0
+// stands for every k beyond maxPlaneK.
 type planeAdmission struct {
 	mu       sync.Mutex
 	counts   [maxPlaneK + 1]uint32
@@ -61,10 +67,11 @@ type planeAdmission struct {
 	probeHook func()
 }
 
-// notePlaneDemand records that one single query with these options was
-// executed (not served from the cache) and starts a background build when
-// the counts now say the plane belongs to another k. Called after the
-// query has been answered, outside every engine lock.
+// notePlaneDemand records that one request with these options executed
+// (was not served from the cache) — a single query, or a batch of them —
+// and starts a background build when the counts now say the plane belongs
+// to another k. Called after the request has been answered, outside every
+// engine lock.
 func (e *Engine) notePlaneDemand(opts core.Options) {
 	if !core.PlaneEligible(opts) {
 		return

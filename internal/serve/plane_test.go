@@ -145,13 +145,32 @@ func TestRadiusPlaneBuiltOnce(t *testing.T) {
 	}
 }
 
+// askBatch sends one batch request of n fresh queries and checks its
+// first member against brute force.
+func askBatch(t testing.TB, e *Engine, rng *rand.Rand, n int, opts core.Options) {
+	t.Helper()
+	qs := make([][]geo.Point, n)
+	for i := range qs {
+		qs[i] = randomQuery(rng)
+	}
+	res, err := e.RkNNTBatch(qs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bruteForce(t, e, qs[0], opts); !sameIDs(res[0].Transitions, want) {
+		t.Fatalf("batch %+v: %v, want %v", opts, res[0].Transitions, want)
+	}
+}
+
 // TestRadiusPlaneAdmission pins who gets the plane. A k asked for once, or
 // a large k asked for all window long, never does — no build starts, so
 // no writer can be stalled by one and the slot stays free for real
-// traffic. BruteForce and ablation queries do not count. A k earns the
-// plane with planeAdmitAfter executed queries; an incumbent keeps it
-// against an equal rival, loses it to one that dominates a window, and is
-// dropped when the window belongs to k beyond maxPlaneK.
+// traffic. BruteForce and ablation queries do not count, nor does a batch
+// served from the cache. A k earns the plane with planeAdmitAfter
+// executed requests — single queries or batches, one count per batch
+// however many members it carries; an incumbent keeps it against an
+// equal rival, loses it to one that dominates a window, and is dropped
+// when a window of batches belongs to k beyond maxPlaneK.
 func TestRadiusPlaneAdmission(t *testing.T) {
 	e, rng := seededEngine(t, 2, 120)
 	// Thousands of queries: check one in sixteen against brute force.
@@ -191,23 +210,35 @@ func TestRadiusPlaneAdmission(t *testing.T) {
 	for i := 0; i < 2*planeAdmitAfter; i++ { // the pipeline's own measurements
 		ask(t, e, rng, core.Options{K: 4, Method: core.BruteForce})
 		ask(t, e, rng, core.Options{K: 4, NoNList: true})
+		askBatch(t, e, rng, 2, core.Options{K: 4, Method: core.BruteForce})
+		askBatch(t, e, rng, 2, core.Options{K: 4, NoCrossover: true})
 	}
-	idle("after BruteForce and ablation queries")
-	for i := 0; i < 2; i++ { // batches: one request must not take the plane
-		batch := make([][]geo.Point, 2*planeAdmitAfter)
-		for j := range batch {
-			batch[j] = randomQuery(rng)
-		}
-		if _, err := e.RkNNTBatch(batch, core.Options{K: 4}); err != nil {
+	idle("after BruteForce and ablation queries and batches")
+	// A batch answered from the cache executed nothing: asked again and
+	// again it stays one count.
+	cached := make([][]geo.Point, 2*planeAdmitAfter)
+	for i := range cached {
+		cached[i] = randomQuery(rng)
+	}
+	for i := 0; i < 2*planeAdmitAfter; i++ {
+		res, err := e.RkNNTBatch(cached, core.Options{K: 5})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if i > 0 && !res[len(res)-1].Cached {
+			t.Fatalf("repeat %d of a batch was not served from the cache", i)
+		}
 	}
-	idle("after batches at an eligible k")
+	idle("after a batch served from the cache")
+	// Batches count one each, however many members they carry.
 	for i := 0; i < planeAdmitAfter-1; i++ {
-		ask(t, e, rng, core.Options{K: 4})
+		askBatch(t, e, rng, 2*planeAdmitAfter, core.Options{K: 4})
+		if i == 0 {
+			idle("after one batch at an eligible k")
+		}
 	}
-	idle("one query short of admission")
-	ask(t, e, rng, core.Options{K: 4})
+	idle("one batch short of admission")
+	askBatch(t, e, rng, 2*planeAdmitAfter, core.Options{K: 4})
 	waitPlane(t, e, 4)
 
 	// An equal rival does not take the plane from the incumbent...
@@ -232,10 +263,10 @@ func TestRadiusPlaneAdmission(t *testing.T) {
 	if ask(t, e, rng, core.Options{K: 4}) || !ask(t, e, rng, core.Options{K: 6}) {
 		t.Fatal("after the plane moved to k=6: wrong paths")
 	}
-	// Traffic moves beyond maxPlaneK for good: the plane is dropped, and
-	// writers stop paying for it.
+	// Batch traffic moves beyond maxPlaneK for good: the plane is
+	// dropped, and writers stop paying for it.
 	for i := 0; i < planeWindow; i++ {
-		ask(t, e, rng, core.Options{K: 50})
+		askBatch(t, e, rng, 2, core.Options{K: 50})
 	}
 	waitPlane(t, e, 0)
 	probes := e.mx.radiusProbes.Load()
@@ -247,6 +278,49 @@ func TestRadiusPlaneAdmission(t *testing.T) {
 	}
 	if builds := e.mx.planeBuild.Snapshot().Count; builds != 2 {
 		t.Fatalf("%d plane builds over the whole history, want 2 (k=4, k=6)", builds)
+	}
+}
+
+// TestRkNNTBatchOnEarnedPlane: batch traffic alone earns its k the plane,
+// and from then on every member a batch executes is answered by descent
+// and equals brute force, for ∃, ∀ and a time window.
+func TestRkNNTBatchOnEarnedPlane(t *testing.T) {
+	e, rng := seededEngine(t, 2, 300)
+	for i := 0; i < 200; i++ { // timed transitions for the window
+		tr := model.Transition{ID: model.TransitionID(10_000 + i), O: randomQuery(rng)[0], D: randomQuery(rng)[0], Time: int64(1 + i)}
+		if err := e.AddTransition(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < planeAdmitAfter; i++ {
+		askBatch(t, e, rng, 4, core.Options{K: 3})
+	}
+	waitPlane(t, e, 3)
+	for _, opts := range []core.Options{
+		{K: 3},
+		{K: 3, Semantics: core.ForAll},
+		{K: 3, Method: core.FilterRefine, TimeFrom: 40, TimeTo: 160},
+	} {
+		qs := make([][]geo.Point, 24)
+		for i := range qs {
+			qs[i] = randomQuery(rng)
+		}
+		qs[5] = qs[2] // an intra-batch duplicate shares its first occurrence
+		res, err := e.RkNNTBatch(qs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if !r.Shared && !r.Stats.Plane {
+				t.Fatalf("%+v member %d: executed by the pipeline beside a plane at its k", opts, i)
+			}
+			if want := bruteForce(t, e, qs[i], opts); !sameIDs(r.Transitions, want) {
+				t.Fatalf("%+v member %d: %v, want %v", opts, i, r.Transitions, want)
+			}
+		}
+	}
+	if builds := e.mx.planeBuild.Snapshot().Count; builds != 1 {
+		t.Fatalf("%d plane builds, want 1", builds)
 	}
 }
 
