@@ -93,13 +93,6 @@ type Options struct {
 	// serving layer's cache keys.
 	Trace *obs.Trace
 
-	// Tuner, when non-nil, replaces the fixed parallel-refine threshold
-	// with an adaptive one and receives cost observations from every
-	// refine pass. Share one tuner across queries (the serving engine
-	// owns one per process); results are unaffected, only the
-	// sequential/parallel cut-over moves. Excluded from cache keys.
-	Tuner *AdaptiveTuner
-
 	// Ablation switches. Results are unaffected (the framework stays
 	// exact); only pruning power changes. They exist so the benchmark
 	// suite can quantify each design choice of Sections 4-5.

@@ -3,16 +3,14 @@ package core
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // TestQuickKernelAblationExact is the blocked-traversal property test:
 // on randomized workloads (degenerate geometry included), every method
 // returns identical results with the planar kernels enabled and with the
-// NoKernel scalar path — including with the adaptive tuner attached and
-// parallelism on, which may only move the cut-over, never the answer.
+// NoKernel scalar path — including with parallelism on, which may only
+// split the verify pass across workers, never change the answer.
 func TestQuickKernelAblationExact(t *testing.T) {
-	tuner := NewAdaptiveTuner()
 	check := func(w workloadCase) bool {
 		for _, m := range []Method{FilterRefine, Voronoi, DivideConquer} {
 			want, _, err := RkNNT(w.x, w.query, Options{K: w.k, Method: m, NoKernel: true})
@@ -29,13 +27,13 @@ func TestQuickKernelAblationExact(t *testing.T) {
 				t.Logf("method %v: kernel %v, scalar %v (k=%d, query=%v)", m, got, want, w.k, w.query)
 				return false
 			}
-			got, _, err = RkNNT(w.x, w.query, Options{K: w.k, Method: m, Parallel: true, Tuner: tuner})
+			got, _, err = RkNNT(w.x, w.query, Options{K: w.k, Method: m, Parallel: true})
 			if err != nil {
 				t.Log(err)
 				return false
 			}
 			if !idsEqual(got, want) {
-				t.Logf("method %v with tuner: kernel %v, scalar %v", m, got, want)
+				t.Logf("method %v parallel: kernel %v, scalar %v", m, got, want)
 				return false
 			}
 		}
@@ -43,41 +41,5 @@ func TestQuickKernelAblationExact(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAdaptiveTunerThreshold(t *testing.T) {
-	tn := NewAdaptiveTuner()
-	if tn.Threshold() != defaultRefineParallelThreshold {
-		t.Fatalf("fresh tuner threshold = %d, want default %d", tn.Threshold(), defaultRefineParallelThreshold)
-	}
-	if tn.HandoffNanos() < 100 || tn.HandoffNanos() > 1e6 {
-		t.Fatalf("handoff estimate %v outside clamp", tn.HandoffNanos())
-	}
-	// Expensive candidates: parallelism pays early, threshold drops to
-	// the floor.
-	for i := 0; i < 50; i++ {
-		tn.Observe(100, 100*time.Millisecond, 1)
-	}
-	if th := tn.Threshold(); th != refineThresholdMin {
-		t.Fatalf("threshold after expensive observations = %d, want floor %d", th, refineThresholdMin)
-	}
-	// Near-free candidates: handoff dominates, threshold rises off the
-	// floor and tracks the break-even formula.
-	for i := 0; i < 100; i++ {
-		tn.Observe(1_000_000, time.Millisecond, 1)
-	}
-	if th := tn.Threshold(); th <= refineThresholdMin {
-		t.Fatalf("threshold after cheap observations = %d, still at the floor", th)
-	}
-	if th, want := tn.Threshold(), thresholdFor(tn.HandoffNanos(), tn.PerCandidateNanos()); th != want {
-		t.Fatalf("threshold %d inconsistent with formula value %d", th, want)
-	}
-	// Degenerate observations are ignored.
-	before := tn.Threshold()
-	tn.Observe(0, time.Second, 1)
-	tn.Observe(10, 0, 1)
-	if tn.Threshold() != before {
-		t.Fatal("degenerate observations moved the threshold")
 	}
 }

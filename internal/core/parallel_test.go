@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/geo"
 	"repro/internal/index"
 	"repro/internal/model"
+	"repro/internal/rtree"
 )
 
 // buildRandomSharded is buildRandom with an explicit TR-tree shard count,
@@ -78,6 +82,61 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRefineCutOver drives the verify pass at candidate counts around
+// refineParallelThreshold: one candidate, just below the cut-over (the
+// serial loop), at and just above it (the smallest two-worker splits,
+// which may part a transition's two endpoints across workers) and well
+// above it. With Parallel on, the masks must equal the definition
+// evaluated endpoint by endpoint.
+func TestRefineCutOver(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+
+	rng := rand.New(rand.NewSource(93))
+	x := buildRandom(t, rng, 40, 300)
+	query := randQuery(rng, 4)
+	const k = 4
+	// The endpoints nearest the query, so the pool mixes results and
+	// non-results.
+	var pool []rtree.Entry
+	x.Transitions(func(tr *model.Transition) bool {
+		pool = append(pool,
+			rtree.Entry{Pt: tr.O, ID: tr.ID, Aux: index.Origin},
+			rtree.Entry{Pt: tr.D, ID: tr.ID, Aux: index.Destination})
+		return true
+	})
+	sort.Slice(pool, func(i, j int) bool {
+		return geo.PointRouteDist2(pool[i].Pt, query) < geo.PointRouteDist2(pool[j].Pt, query)
+	})
+	pool = pool[:64]
+	want := make([]endpointMask, len(pool))
+	hits := 0
+	for i, c := range pool {
+		if bruteForceEndpoint(x, query, c.Pt, k) {
+			want[i] = 1 << uint(c.Aux)
+			hits++
+		}
+	}
+	if hits == 0 || hits == len(pool) {
+		t.Fatalf("%d of %d pooled endpoints are results; the fixture needs both kinds", hits, len(pool))
+	}
+
+	for _, n := range []int{1, refineParallelThreshold - 1, refineParallelThreshold, refineParallelThreshold + 1, len(pool)} {
+		t.Run(fmt.Sprintf("cands=%d", n), func(t *testing.T) {
+			wantMasks := make(map[model.TransitionID]endpointMask)
+			for i, c := range pool[:n] {
+				if want[i] != 0 {
+					wantMasks[c.ID] |= want[i]
+				}
+			}
+			got := refineCandidates(x, query, pool[:n], k, Options{K: k, Parallel: true})
+			if !reflect.DeepEqual(got, wantMasks) {
+				t.Fatalf("masks %v, want %v", got, wantMasks)
+			}
+		})
 	}
 }
 

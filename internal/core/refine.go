@@ -2,13 +2,19 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/rtree"
 )
+
+// refineParallelThreshold is the candidate count at which a Parallel
+// refine pass fans out. One RR-tree probe costs 1.4-10 µs (about 37 µs
+// under a live server) against a goroutine handoff of about 1.25 µs, so
+// the two-worker break-even 4·handoff/perCandidate lands below 8
+// whenever a candidate costs more than ~0.6 µs.
+const refineParallelThreshold = 8
 
 // refineCandidates implements the verification step (Section 4.2.3): each
 // surviving endpoint is checked exactly against the RR-tree. An endpoint t
@@ -21,20 +27,10 @@ import (
 func refineCandidates(x *index.Index, query []geo.Point, cands []rtree.Entry, k int, opts Options) map[model.TransitionID]endpointMask {
 	masks := make(map[model.TransitionID]endpointMask)
 	tree := x.RouteTree()
-	// Below the parallel threshold the goroutine and merge overhead
-	// exceeds the win. The default is the historical fixed constant; with
-	// an AdaptiveTuner attached the cut-over tracks the measured
-	// per-candidate verify cost against the measured goroutine handoff
-	// cost (see tuner.go).
-	threshold := defaultRefineParallelThreshold
-	if opts.Tuner != nil {
-		threshold = opts.Tuner.Threshold()
-	}
-	if parallelEnabled(opts) && len(cands) >= threshold {
+	if parallelEnabled(opts) && len(cands) >= refineParallelThreshold {
 		workers := maxWorkers(len(cands))
 		chunk := (len(cands) + workers - 1) / workers
 		parts := make([]map[model.TransitionID]endpointMask, workers)
-		start := time.Now()
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			lo := w * chunk
@@ -58,9 +54,6 @@ func refineCandidates(x *index.Index, query []geo.Point, cands []rtree.Entry, k 
 			}(w, lo, hi)
 		}
 		wg.Wait()
-		if opts.Tuner != nil {
-			opts.Tuner.Observe(len(cands), time.Since(start), workers)
-		}
 		for _, part := range parts {
 			for id, m := range part {
 				masks[id] |= m
@@ -68,14 +61,10 @@ func refineCandidates(x *index.Index, query []geo.Point, cands []rtree.Entry, k 
 		}
 		return masks
 	}
-	start := time.Now()
 	for _, cand := range cands {
 		if endpointIsResult(x, tree, query, cand.Pt, k, !opts.NoNList, opts.NoKernel) {
 			masks[cand.ID] |= 1 << uint(cand.Aux)
 		}
-	}
-	if opts.Tuner != nil && len(cands) > 0 {
-		opts.Tuner.Observe(len(cands), time.Since(start), 1)
 	}
 	return masks
 }

@@ -1,4 +1,4 @@
-// Package dataio reads and writes RkNNT datasets. Three formats are
+// Package dataio reads and writes RkNNT datasets. Two formats are
 // supported:
 //
 //   - CSV: the routes.csv / transitions.csv / edges.csv layout emitted by
@@ -10,14 +10,12 @@
 //     verbatim, so a server can boot with a sequential read instead of a
 //     CSV parse and bulk load. The format is specified normatively in
 //     docs/ARCHITECTURE.md.
-//   - gob: the pre-container snapshot blob. Read-only: ReadSnapshot
-//     still accepts it, WriteSnapshot no longer produces it.
 package dataio
 
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -142,20 +140,6 @@ func ReadTransitionsCSV(r io.Reader) ([]model.Transition, error) {
 	return out, nil
 }
 
-// snapshot is the legacy gob wire format: a flat network plus the
-// dataset. Kept for reading pre-container blobs only.
-type snapshot struct {
-	Version     int
-	Routes      []model.Route
-	Transitions []model.Transition
-	Points      []geo.Point // network vertex locations
-	EdgeU       []graph.VertexID
-	EdgeV       []graph.VertexID
-	EdgeW       []float64
-}
-
-const snapshotVersion = 1
-
 // WriteSnapshot serialises a dataset and (optionally nil) network to w as
 // an arena snapshot container with routes, transitions and network
 // sections. Routes and transitions are encoded sorted by ID, the
@@ -178,42 +162,24 @@ func WriteSnapshot(w io.Writer, ds *model.Dataset, g *graph.Graph) error {
 	return sw.Close()
 }
 
-// ReadSnapshot deserialises a dataset and network from either snapshot
-// format: the arena snapshot container (new) or the legacy gob blob
-// (old). Containers carrying index sections decode too — the dataset
+// ReadSnapshot deserialises a dataset and network from an arena snapshot
+// container. Containers carrying index sections decode too — the dataset
 // sections are always present — so an index snapshot doubles as a
 // dataset snapshot. The network is nil if none was stored.
 func ReadSnapshot(r io.Reader) (*model.Dataset, *graph.Graph, error) {
 	br := bufio.NewReader(r)
 	prefix, err := br.Peek(len(ContainerMagic))
-	if err == nil && IsContainer(prefix) {
-		secs, err := ReadSections(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		return DatasetFromSections(secs)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, nil, fmt.Errorf("dataio: reading snapshot: %w", err)
 	}
-	var snap snapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		return nil, nil, fmt.Errorf("dataio: snapshot: %w", err)
+	if !IsContainer(prefix) {
+		return nil, nil, fmt.Errorf("dataio: not an arena snapshot container; regenerate it with rknnt-gen -format snapshot")
 	}
-	if snap.Version != snapshotVersion {
-		return nil, nil, fmt.Errorf("dataio: snapshot version %d, want %d", snap.Version, snapshotVersion)
+	secs, err := ReadSections(br)
+	if err != nil {
+		return nil, nil, err
 	}
-	ds := &model.Dataset{Routes: snap.Routes, Transitions: snap.Transitions}
-	var g *graph.Graph
-	if len(snap.Points) > 0 {
-		g = graph.New()
-		for _, p := range snap.Points {
-			g.AddVertex(p)
-		}
-		for i := range snap.EdgeU {
-			if err := g.AddEdge(snap.EdgeU[i], snap.EdgeV[i], snap.EdgeW[i]); err != nil {
-				return nil, nil, fmt.Errorf("dataio: snapshot edge %d: %w", i, err)
-			}
-		}
-	}
-	return ds, g, nil
+	return DatasetFromSections(secs)
 }
 
 // DatasetFromSections extracts the dataset and network from a parsed

@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -163,8 +164,32 @@ func TestSnapshotWithoutNetwork(t *testing.T) {
 	}
 }
 
+// TestSnapshotGarbage feeds ReadSnapshot input that is not a container —
+// garbage, an empty file and a blob in the retired gob snapshot format —
+// and wants an error that names the command that writes a current file.
 func TestSnapshotGarbage(t *testing.T) {
-	if _, _, err := ReadSnapshot(strings.NewReader("not a gob stream")); err == nil {
-		t.Error("garbage accepted")
+	var blob bytes.Buffer
+	legacy := struct {
+		Version     int
+		Routes      []model.Route
+		Transitions []model.Transition
+	}{Version: 1, Transitions: []model.Transition{{ID: 1, O: geo.Pt(0, 0), D: geo.Pt(1, 1)}}}
+	if err := gob.NewEncoder(&blob).Encode(legacy); err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string][]byte{
+		"garbage": []byte("not a snapshot"),
+		"empty":   nil,
+		"gob":     blob.Bytes(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, _, err := ReadSnapshot(bytes.NewReader(in))
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), "rknnt-gen -format snapshot") {
+				t.Errorf("error %q does not say how to regenerate the file", err)
+			}
+		})
 	}
 }

@@ -43,10 +43,8 @@ type Index struct {
 	// trShards are the TR-tree shards (transition endpoints; ID =
 	// transition, Aux = role). A transition's endpoints live in shard
 	// HomeShard(id) however it arrived — bulk load, dynamic add or
-	// snapshot — so no placement table exists. nextShard is a legacy
-	// round-robin cursor kept only for snapshot format compatibility.
-	trShards  []*rtree.Tree
-	nextShard int32
+	// snapshot — so no placement table exists.
+	trShards []*rtree.Tree
 
 	// metaMu guards the bookkeeping shared between shards — transitions
 	// and the expiry heap — against concurrent per-shard commits

@@ -6,11 +6,11 @@ package index
 // A saved index is the verbatim state of the spatial core: the RR-tree
 // arena (including its NList aggregate), one arena section per TR-tree
 // shard, the shard assignment table (a function of the IDs, stored so
-// a reader can cross-check placement) and round-robin cursor, the expiry
-// heap, and the route and transition tables. Loading restores every
-// arena byte-for-byte — same NodeIDs, same free lists, same aggregates —
-// so a booted index answers queries identically to the index that was
-// saved, and re-saving a loaded index reproduces the file exactly.
+// a reader can cross-check placement), the expiry heap, and the route
+// and transition tables. Loading restores every arena byte-for-byte —
+// same NodeIDs, same free lists, same aggregates — so a booted index
+// answers queries identically to the index that was saved, and
+// re-saving a loaded index reproduces the file exactly.
 //
 // Only the PList is not stored: it is a deterministic function of the
 // route table (stop → sorted covering routes) and is rebuilt during
@@ -61,13 +61,13 @@ func AppendDeltaSections(sw *dataio.SectionWriter, x *Index, structural bool, sh
 }
 
 func appendSections(sw *dataio.SectionWriter, x *Index, structural bool, shardChanged func(int) bool) error {
-	// idxmeta: u32 version, u32 shard count, i32 next-shard cursor,
-	// u32 zero, u64 routes, u64 transitions.
+	// idxmeta: u32 version, u32 shard count, u32 zero (once a round-robin
+	// shard cursor; ignored on read), u32 zero, u64 routes, u64
+	// transitions.
 	meta := make([]byte, 0, 32)
 	meta = binary.LittleEndian.AppendUint32(meta, indexMetaVersion)
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(x.trShards)))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(x.nextShard))
-	meta = binary.LittleEndian.AppendUint32(meta, 0)
+	meta = binary.LittleEndian.AppendUint64(meta, 0)
 	meta = binary.LittleEndian.AppendUint64(meta, uint64(len(x.routes)))
 	meta = binary.LittleEndian.AppendUint64(meta, uint64(len(x.transitions)))
 	sw.Section(SecIndexMeta, meta)
@@ -161,14 +161,10 @@ func SnapshotFromSectionsOpts(secs *dataio.Sections, o LoadOptions) (*Index, err
 		return nil, fmt.Errorf("index: snapshot meta version %d, want %d", v, indexMetaVersion)
 	}
 	shardCount := int(binary.LittleEndian.Uint32(meta[4:]))
-	nextShard := int32(binary.LittleEndian.Uint32(meta[8:]))
 	nRoutes := binary.LittleEndian.Uint64(meta[16:])
 	nTrans := binary.LittleEndian.Uint64(meta[24:])
 	if shardCount < 1 {
 		return nil, fmt.Errorf("index: snapshot shard count %d", shardCount)
-	}
-	if nextShard < 0 || int(nextShard) >= shardCount {
-		return nil, fmt.Errorf("index: snapshot shard cursor %d out of [0,%d)", nextShard, shardCount)
 	}
 
 	ds, _, err := dataio.DatasetFromSections(secs)
@@ -184,7 +180,6 @@ func SnapshotFromSectionsOpts(secs *dataio.Sections, o LoadOptions) (*Index, err
 		routes:      make(map[model.RouteID]*model.Route, len(ds.Routes)),
 		transitions: make(map[model.TransitionID]*model.Transition, len(ds.Transitions)),
 		plist:       make(map[model.StopID][]model.RouteID),
-		nextShard:   nextShard,
 	}
 	routePoints := 0
 	for i := range ds.Routes {

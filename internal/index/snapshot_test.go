@@ -93,9 +93,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if loaded.NumTransitionShards() != x.NumTransitionShards() {
 		t.Fatalf("loaded shard count %d, want %d", loaded.NumTransitionShards(), x.NumTransitionShards())
 	}
-	if loaded.nextShard != x.nextShard {
-		t.Errorf("loaded shard cursor %d, want %d", loaded.nextShard, x.nextShard)
-	}
 
 	// NList of every RR-tree node must match (same NodeIDs after load).
 	var walk func(n rtree.NodeID)

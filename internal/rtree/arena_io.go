@@ -32,11 +32,8 @@ package rtree
 //	aggIDs  aggTotal  × i32                            [padded]
 //	aggCnt  aggTotal  × i32                            [padded]
 //
-// Version 1 payloads — written before the planar-rect migration — are
-// identical except the four planes were one interleaved array of
-// nodeCount × {minx,miny,maxx,maxy f64} rows. The decoder accepts both;
-// the writer always emits version 2. Total bytes are the same, so v1
-// containers embedding arenas by length still parse.
+// Version 1 payloads (rects as one interleaved row array) are rejected
+// like any other foreign version.
 //
 // The layout constants are part of the on-disk contract: a build with a
 // different fanout refuses to load the arena rather than misread it.
@@ -49,11 +46,10 @@ import (
 )
 
 const (
-	arenaVersion       = 2
-	arenaVersionLegacy = 1 // interleaved rect rows instead of planes
-	arenaFlagIDAgg     = 1 << 0
-	arenaFixedHeader   = 4*4 + 8 + 8 + 4 + 4 + 8 + 8 + 8
-	arenaBytesPerNode  = 32 + 1 + 4 + 4 + 4*slotsPerNode + 24*slotsPerNode
+	arenaVersion      = 2
+	arenaFlagIDAgg    = 1 << 0
+	arenaFixedHeader  = 4*4 + 8 + 8 + 4 + 4 + 8 + 8 + 8
+	arenaBytesPerNode = 32 + 1 + 4 + 4 + 4*slotsPerNode + 24*slotsPerNode
 )
 
 // AppendArena appends the tree's serialised arena to buf and returns the
@@ -184,9 +180,8 @@ func treeFromArena(data []byte, view bool) (*Tree, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if version != arenaVersion && version != arenaVersionLegacy {
-		return nil, fmt.Errorf("rtree: arena version %d, want %d or %d",
-			version, arenaVersionLegacy, arenaVersion)
+	if version != arenaVersion {
+		return nil, fmt.Errorf("rtree: arena version %d, want %d", version, arenaVersion)
 	}
 	if gotMax != maxEntries || gotSlots != slotsPerNode {
 		return nil, fmt.Errorf("rtree: arena fanout %d/%d, this build uses %d/%d",
@@ -216,26 +211,12 @@ func treeFromArena(data []byte, view bool) (*Tree, error) {
 	// The small per-node arrays are cheap to copy and keeping them heap
 	// means the mutation hot path (counts, leaf flags, free list) never
 	// touches a read-only mapping.
-	t.viewBacked = view && version == arenaVersion && canViewArena(data)
+	t.viewBacked = view && canViewArena(data)
 	// Each array is pulled out of the buffer in one bounds check and
 	// decoded with a fixed-stride loop: the load is memory-bandwidth
 	// bound, not call-overhead bound.
 	le := binary.LittleEndian
-	if version == arenaVersionLegacy {
-		// v1 stored rects as interleaved {minx,miny,maxx,maxy} rows;
-		// de-interleave into the planar arrays on load.
-		t.xlo, t.ylo = make([]float64, n), make([]float64, n)
-		t.xhi, t.yhi = make([]float64, n), make([]float64, n)
-		if b := d.take(32 * n); b != nil {
-			for i := 0; i < n; i++ {
-				row := b[32*i:]
-				t.xlo[i] = math.Float64frombits(le.Uint64(row))
-				t.ylo[i] = math.Float64frombits(le.Uint64(row[8:]))
-				t.xhi[i] = math.Float64frombits(le.Uint64(row[16:]))
-				t.yhi[i] = math.Float64frombits(le.Uint64(row[24:]))
-			}
-		}
-	} else if t.viewBacked {
+	if t.viewBacked {
 		t.xlo = viewFloat64s(d.take(8*n), n)
 		t.ylo = viewFloat64s(d.take(8*n), n)
 		t.xhi = viewFloat64s(d.take(8*n), n)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -122,33 +123,34 @@ func FuzzTreeFromArena(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again := tr.AppendArena(nil)
-		if binary.LittleEndian.Uint32(data) == arenaVersion {
-			// Current-version arenas are canonical: accept implies
-			// re-serialising reproduces the input bytes.
-			if !bytes.Equal(data, again) {
-				t.Fatalf("accepted arena did not re-serialise identically")
-			}
-			return
-		}
-		// Legacy arenas re-encode at the current version; that encoding
-		// must itself be a canonical fixed point.
-		reloaded, err := TreeFromArena(again)
-		if err != nil {
-			t.Fatalf("re-encoded legacy arena rejected: %v", err)
-		}
-		if !bytes.Equal(again, reloaded.AppendArena(nil)) {
-			t.Fatalf("legacy re-encoding is not a fixed point")
+		if !bytes.Equal(data, tr.AppendArena(nil)) {
+			t.Fatalf("accepted arena did not re-serialise identically")
 		}
 	})
 }
 
+// TestTreeFromArenaRejectsWrongFanout corrupts one header field at a
+// time: a foreign fanout, and a version-1 header (the retired
+// interleaved-rect layout). Both loaders must refuse each with an error
+// naming the field.
 func TestTreeFromArenaRejectsWrongFanout(t *testing.T) {
 	tr := New()
 	tr.Insert(Entry{Pt: geo.Pt(1, 2), ID: 1})
-	blob := tr.AppendArena(nil)
-	blob[8] = 99 // maxEntries field
-	if _, err := TreeFromArena(blob); err == nil {
-		t.Fatal("arena with foreign fanout accepted")
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func([]byte)
+	}{
+		{"fanout", "fanout", func(b []byte) { b[8] = 99 }}, // maxEntries field
+		{"v1", "version", func(b []byte) { binary.LittleEndian.PutUint32(b, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob := tr.AppendArena(nil)
+			tc.corrupt(blob)
+			for load, fn := range map[string]func([]byte) (*Tree, error){"heap": TreeFromArena, "view": TreeFromArenaView} {
+				if _, err := fn(blob); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s load: err = %v, want a %s error", load, err, tc.want)
+				}
+			}
+		})
 	}
 }

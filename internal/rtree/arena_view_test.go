@@ -2,35 +2,12 @@ package rtree
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/geo"
 )
-
-// planarToLegacyArena rewrites a version-2 arena payload as version 1:
-// same bytes except the four planar rect arrays become interleaved
-// {minx,miny,maxx,maxy} rows (the total length is unchanged).
-func planarToLegacyArena(t *testing.T, v2 []byte) []byte {
-	t.Helper()
-	le := binary.LittleEndian
-	if le.Uint32(v2) != arenaVersion {
-		t.Fatalf("fixture is version %d, want %d", le.Uint32(v2), arenaVersion)
-	}
-	out := append([]byte(nil), v2...)
-	le.PutUint32(out, arenaVersionLegacy)
-	n := int(le.Uint64(out[40:])) // nodeCount field
-	planes := v2[arenaFixedHeader : arenaFixedHeader+32*n]
-	rows := out[arenaFixedHeader : arenaFixedHeader+32*n]
-	for i := 0; i < n; i++ {
-		for p := 0; p < 4; p++ {
-			copy(rows[32*i+8*p:32*i+8*p+8], planes[8*(p*n+i):])
-		}
-	}
-	return out
-}
 
 // buildViewTestTree makes a deterministic tree with enough churn to
 // exercise splits, frees and (optionally) the ID aggregate.
@@ -193,20 +170,4 @@ func TestViewMisalignedFallsBack(t *testing.T) {
 		t.Fatal("misaligned buffer reported file-backed")
 	}
 	assertTreesAgree(t, tr, v, rand.New(rand.NewSource(3)))
-}
-
-// TestViewLegacyArenaCopies asserts v1 (interleaved-rect) payloads never
-// take the view path: the planar reinterpretation would misread them.
-func TestViewLegacyArenaCopies(t *testing.T) {
-	tr, _ := buildViewTestTree(t, 44)
-	blob := tr.AppendArena(nil)
-	legacy := planarToLegacyArena(t, blob)
-	v, err := TreeFromArenaView(legacy)
-	if err != nil {
-		t.Fatalf("legacy view load: %v", err)
-	}
-	if v.FileBacked() {
-		t.Fatal("legacy arena reported file-backed")
-	}
-	assertTreesAgree(t, tr, v, rand.New(rand.NewSource(4)))
 }

@@ -27,7 +27,6 @@ func (e *Engine) RkNNTBatch(queries [][]geo.Point, opts core.Options) ([]*QueryR
 		return nil, nil
 	}
 	opts.Parallel = true
-	opts.Tuner = e.tuner
 	opts.Trace = nil // the batch path runs untraced
 	t0 := time.Now()
 	e.mx.batchRequests.Inc()
@@ -76,7 +75,6 @@ func (e *Engine) RkNNTBatch(queries [][]geo.Point, opts core.Options) ([]*QueryR
 		for i, qi := range execIdx {
 			stats := statsAll[i]
 			e.mx.addQueryTotals(stats)
-			e.repairTune.ObserveRecompute(stats.Total())
 			// The batch's results share one (immutable) epoch vector.
 			res := &QueryResult{Transitions: idsAll[i], Stats: *stats, Epoch: vec.Sum(), Epochs: vec}
 			e.cache.Put(keys[qi], &cachedQuery{

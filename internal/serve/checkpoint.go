@@ -17,7 +17,6 @@ package serve
 // fsync directory), so a SIGKILL at any instant leaves a loadable chain.
 
 import (
-	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -169,7 +168,6 @@ func (e *Engine) checkpointDelta(path string) (CheckpointResult, error) {
 		}
 		sw := dataio.NewSectionWriter(w)
 		sw.Section(dataio.SecCheckpoint, dataio.MarshalCheckpointMeta(meta))
-		sw.Section(SecEpoch, binary.LittleEndian.AppendUint64(nil, vec.Sum()))
 		sw.Section(SecEpochVec, vec.appendBytes(nil))
 		if err := index.AppendDeltaSections(sw, e.idx, structural, changed); err != nil {
 			return err

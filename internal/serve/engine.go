@@ -100,13 +100,6 @@ type Engine struct {
 	journals []shardJournal
 	flight   flightGroup
 
-	// Adaptive cost models: tuner places the refine parallel cut-over
-	// inside core from measured verify costs; repairTune sets the lazy
-	// cache-repair replay budget from measured recompute-vs-replay costs
-	// (tuning.go). Neither can change query results.
-	tuner      *core.AdaptiveTuner
-	repairTune *repairTuner
-
 	// planeAdm decides which k owns the index's radius plane; see plane.go.
 	planeAdm planeAdmission
 
@@ -152,8 +145,6 @@ func New(idx *index.Index, opts Options) *Engine {
 		quit:       make(chan struct{}),
 		subs:       make(map[int]*subscriber),
 		plans:      make(map[plannerKey]*plannerEntry),
-		tuner:      core.NewAdaptiveTuner(),
-		repairTune: newRepairTuner(),
 	}
 	e.seedEpochs(opts.InitialEpochs)
 	e.pipes = make([]*shardPipeline, shards)
@@ -246,7 +237,6 @@ type cachedQuery struct {
 // key because it cannot change the result.
 func (e *Engine) RkNNT(query []geo.Point, opts core.Options) (*QueryResult, error) {
 	opts.Parallel = true
-	opts.Tuner = e.tuner
 	t0 := time.Now()
 	csp := opts.Trace.StartSpan("cache")
 	key := queryKey(query, opts)
@@ -293,9 +283,6 @@ func (e *Engine) RkNNT(query []geo.Point, opts core.Options) (*QueryResult, erro
 		}
 		e.mx.addQueryTotals(stats)
 		e.notePlaneDemand(exOpts)
-		// Feed the repair tuner the cost this query would have avoided had
-		// its cached entry been repairable.
-		e.repairTune.ObserveRecompute(stats.Total())
 		res := &QueryResult{Transitions: ids, Stats: *stats, Epoch: vec.Sum(), Epochs: vec}
 		// Cached entries must not retain the finished trace: repairs
 		// reuse the stored options for rank checks only.

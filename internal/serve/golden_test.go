@@ -16,6 +16,7 @@ package serve
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -166,6 +167,54 @@ func TestGoldenChain(t *testing.T) {
 			t.Errorf("mmap=%v: golden chain does not round-trip to golden.full (%d vs %d bytes)",
 				useMmap, got.Len(), len(want))
 		}
+	}
+}
+
+// TestGoldenChainScalarEpoch loads testdata/srvepoch/, the golden chain
+// as the writer produced it before the scalar epoch was retired: every
+// file also carries a "srvepoch" section, as every checkpoint written
+// before then does. Those bytes are frozen (-update does not touch
+// them), and they must load to exactly the state of the current chain:
+// the same epoch vector, and a re-save byte-identical to golden.full.
+func TestGoldenChainScalarEpoch(t *testing.T) {
+	legacy := filepath.Join("testdata", "srvepoch", goldenBase)
+	if !hasTag(sectionTags(t, legacy), "srvepoch") {
+		t.Fatalf("%s carries no srvepoch section", legacy)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden.full"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := OpenSnapshotFile(filepath.Join("testdata", goldenBase), SnapshotLoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantVec := cur.Epochs.Clone()
+	cur.Close()
+
+	for _, useMmap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mmap=%v", useMmap), func(t *testing.T) {
+			sf, err := OpenSnapshotFile(legacy, SnapshotLoadOptions{Mmap: useMmap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sf.Close()
+			if len(sf.Files()) != 3 {
+				t.Fatalf("chain resolved to %d files, want 3", len(sf.Files()))
+			}
+			if !sf.Epochs.Equal(wantVec) {
+				t.Fatalf("epoch vector %+v, want %+v", sf.Epochs, wantVec)
+			}
+			e := New(sf.Index, Options{Network: sf.Network, VertexOf: sf.VertexOf, InitialEpochs: sf.Epochs})
+			defer e.Close()
+			var got bytes.Buffer
+			if err := e.WriteSnapshot(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("re-save differs from golden.full (%d vs %d bytes)", got.Len(), len(want))
+			}
+		})
 	}
 }
 

@@ -156,7 +156,7 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 	m.pathPlane = qp.With("plane")
 	m.pathPipeline = qp.With("pipeline")
 
-	rf := reg.CounterVec("rknnt_repair_fallback_total", "Stale cache hits recomputed instead of repaired, by reason (\"structural\": a route change moved the structural epoch, \"journal\": a shard journal no longer reaches back to the entry, \"budget\": more missed ops than the replay budget).", "reason")
+	rf := reg.CounterVec("rknnt_repair_fallback_total", "Stale cache hits recomputed instead of repaired, by reason (\"structural\": a route change moved the structural epoch, \"journal\": a shard journal no longer reaches back to the entry, \"budget\": more than "+strconv.Itoa(repairReplayOps)+" missed journal ops).", "reason")
 	m.repairFallbackStructural = rf.With("structural")
 	m.repairFallbackJournal = rf.With("journal")
 	m.repairFallbackBudget = rf.With("budget")
@@ -240,12 +240,6 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 	})
 	reg.GaugeFunc("rknnt_standing_queries", "Registered standing queries.", func() float64 {
 		return float64(e.standing.Load())
-	})
-	reg.GaugeFunc("rknnt_refine_parallel_threshold", "Candidate count at which refine verification goes parallel; adapts to the measured per-candidate verify cost vs goroutine handoff cost.", func() float64 {
-		return float64(e.tuner.Threshold())
-	})
-	reg.GaugeFunc("rknnt_repair_replay_budget", "Journal ops a lazy cache repair may replay before recomputing is cheaper; adapts to the measured recompute cost vs per-op replay cost.", func() float64 {
-		return float64(e.repairTune.Budget())
 	})
 	reg.GaugeFunc("rknnt_slow_queries", "Queries recorded by the slow-query log since start.", func() float64 {
 		return float64(e.slow.Total())

@@ -253,6 +253,67 @@ func TestRepairBudgetFallsBackToPurge(t *testing.T) {
 	}
 }
 
+// TestRepairBudgetBoundary pins the replay budget: a stale read that
+// missed exactly repairReplayOps journal ops is repaired, one op more
+// falls back to a recompute counted under reason="budget". Both answers
+// must equal brute force. The ops commit as one batch on one shard, well
+// inside the journal's retention, so only the budget can turn a read away.
+func TestRepairBudgetBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		ops       int
+		repaired  bool
+		fallbacks uint64
+	}{{repairReplayOps, true, 0}, {repairReplayOps + 1, false, 1}} {
+		t.Run(fmt.Sprintf("ops=%d", tc.ops), func(t *testing.T) {
+			e := New(twoRoutesSharded(t, 1, model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)}), Options{})
+			defer e.Close()
+			opts := core.Options{K: 1}
+			if _, err := e.RkNNT(queryY0, opts); err != nil {
+				t.Fatal(err)
+			}
+			// One removal of a cached result, then adds alternating between
+			// endpoints nearer the query than route 1 (results) and far ones.
+			batch := []writeOp{{kind: opRemoveTransition, id: 7, done: make(chan opResult, 1)}}
+			for i := 1; i < tc.ops; i++ {
+				y := 1 + 80*float64(i%2)
+				tr := model.Transition{ID: model.TransitionID(1000 + i), O: geo.Pt(float64(i%10), y), D: geo.Pt(float64(i%7), y)}
+				batch = append(batch, writeOp{kind: opAddTransition, t: tr, done: make(chan opResult, 1)})
+			}
+			if len(batch) > journalOpCap {
+				t.Fatalf("%d ops overflow the shard journal", len(batch))
+			}
+			budgetBefore := e.mx.repairFallbackBudget.Load()
+			e.pipes[0].applyShard(batch)
+			for _, op := range batch {
+				if r := <-op.done; r.err != nil {
+					t.Fatal(r.err)
+				}
+			}
+			got, err := e.RkNNT(queryY0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Repaired != tc.repaired {
+				t.Errorf("Repaired = %v after %d missed ops, want %v", got.Repaired, tc.ops, tc.repaired)
+			}
+			if d := e.mx.repairFallbackBudget.Load() - budgetBefore; d != tc.fallbacks {
+				t.Errorf("budget fallbacks rose by %d, want %d", d, tc.fallbacks)
+			}
+			want, _, err := func() ([]model.TransitionID, *core.Stats, error) {
+				e.rlockAll()
+				defer e.runlockAll()
+				return core.RkNNT(e.idx, queryY0, core.Options{K: 1, Method: core.BruteForce})
+			}()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Transitions, want) {
+				t.Fatalf("%d ids after %d missed ops, brute force has %d", len(got.Transitions), tc.ops, len(want))
+			}
+		})
+	}
+}
+
 // TestRepairConcurrentSharedBatch hammers one journal batch per shard
 // from many goroutines at once: 32 cached entries, at two k values, are
 // all stale by the same commit and are read concurrently, so their

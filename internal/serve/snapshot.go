@@ -8,7 +8,6 @@ package serve
 // so planning survives a restart.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -18,11 +17,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/model"
 )
-
-// SecEpoch is the legacy section carrying the scalar engine epoch at
-// save time (one u64). Snapshots written by this version store the sum
-// of the epoch vector here, so older readers keep working.
-const SecEpoch = "srvepoch"
 
 // SecEpochVec is the section carrying the full epoch vector: the
 // structural counter (u64), the shard count (u32), then one u64 per
@@ -50,7 +44,6 @@ func (e *Engine) writeSnapshotTo(w io.Writer) (EpochVec, uint32, error) {
 	defer e.runlockAll()
 	vec := e.epochVecQuiescent()
 	sw := dataio.NewSectionWriter(w)
-	sw.Section(SecEpoch, binary.LittleEndian.AppendUint64(nil, vec.Sum()))
 	sw.Section(SecEpochVec, vec.appendBytes(nil))
 	if err := index.AppendSnapshotSections(sw, e.idx); err != nil {
 		return vec, 0, err
@@ -81,9 +74,8 @@ func (e *Engine) WriteSnapshotFile(path string) (int64, error) {
 // with (zero if the snapshot carries no serving metadata). Pass the
 // vector as Options.InitialEpochs so clients that cached results
 // against the old process observe a version no older than what they
-// saw. Snapshots from before the vector epoch carry only the legacy
-// scalar section; it loads as a pure-structural vector, which preserves
-// the scalar sum (the only thing such snapshots ever promised).
+// saw. A scalar "srvepoch" section, which older files carry, is ignored:
+// a file with no "srvepocv" section boots at the zero vector.
 func ReadSnapshot(r io.Reader) (*index.Index, *graph.Graph, map[model.StopID]graph.VertexID, EpochVec, error) {
 	secs, err := dataio.ReadSections(r)
 	if err != nil {
@@ -106,11 +98,6 @@ func snapshotStateFromSections(secs *dataio.Sections, lo index.LoadOptions) (*in
 			return nil, nil, nil, EpochVec{}, fmt.Errorf("serve: malformed %q section (%d bytes)", SecEpochVec, len(vb))
 		}
 		vec = v
-	} else if eb, ok := secs.Lookup(SecEpoch); ok {
-		if len(eb) != 8 {
-			return nil, nil, nil, EpochVec{}, fmt.Errorf("serve: %q section is %d bytes, want 8", SecEpoch, len(eb))
-		}
-		vec = EpochVec{Structural: binary.LittleEndian.Uint64(eb)}
 	}
 	var g *graph.Graph
 	var vertexOf map[model.StopID]graph.VertexID

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataio"
 	"repro/internal/gen"
 	"repro/internal/geo"
 	"repro/internal/graph"
@@ -47,6 +49,26 @@ func TestEngineSnapshotWarmStart(t *testing.T) {
 	}
 	if epochs.Sum() != savedEpoch {
 		t.Fatalf("snapshot epoch %d, want %d", epochs.Sum(), savedEpoch)
+	}
+	// Files written before the scalar epoch was retired also carry a
+	// "srvepoch" section holding the vector's sum; it must not shadow the
+	// vector.
+	secs, err := dataio.ParseSections(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var older bytes.Buffer
+	sw := dataio.NewSectionWriter(&older)
+	sw.Section("srvepoch", binary.LittleEndian.AppendUint64(nil, savedEpoch))
+	for _, tag := range secs.Tags() {
+		b, _ := secs.Lookup(tag)
+		sw.Section(tag, b)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, v, err := ReadSnapshot(&older); err != nil || !v.Equal(savedVec) {
+		t.Fatalf("container with srvepoch: vector %+v (err %v), want %+v", v, err, savedVec)
 	}
 	if g == nil || g.NumVertices() != city.Graph.NumVertices() {
 		t.Fatal("network did not survive the snapshot")

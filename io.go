@@ -36,10 +36,10 @@ func WriteSnapshot(w io.Writer, ds *Dataset, g *Network) error {
 	return dataio.WriteSnapshot(w, ds, g)
 }
 
-// ReadSnapshot deserialises a snapshot: either an arena snapshot
-// container (including index snapshots, whose dataset sections are read
-// and whose arenas are ignored) or a legacy gob blob written by earlier
-// versions of this package. The network is nil when none was stored.
+// ReadSnapshot deserialises an arena snapshot container, including index
+// snapshots, whose dataset sections are read and whose arenas are
+// ignored. Any other input is an error. The network is nil when none was
+// stored.
 func ReadSnapshot(r io.Reader) (*Dataset, *Network, error) {
 	return dataio.ReadSnapshot(r)
 }
