@@ -30,7 +30,7 @@ func BatchRkNNT(x *index.Index, queries [][]geo.Point, opts Options) ([][]model.
 	ids := make([][]model.TransitionID, len(queries))
 	stats := make([]*Stats, len(queries))
 	errs := make([]error, len(queries))
-	runBatch(len(queries), fan, func(i int) {
+	RunBatch(len(queries), fan, func(i int) {
 		ids[i], stats[i], errs[i] = RkNNT(x, queries[i], qopts)
 	})
 	for _, err := range errs {
@@ -56,10 +56,11 @@ func batchMemberOpts(opts Options, members int) (qopts Options, fan bool) {
 	return qopts, fan
 }
 
-// runBatch invokes fn(i) for i in [0, n), across GOMAXPROCS-bounded
-// workers when par is set. Work is handed out through an atomic cursor
-// so uneven items load-balance.
-func runBatch(n int, par bool, fn func(int)) {
+// RunBatch invokes fn(i) for i in [0, n), across GOMAXPROCS-bounded
+// workers when par is set, and returns once every call has. Work is
+// handed out through an atomic cursor so uneven items load-balance. The
+// planner's Precompute fans its per-vertex queries through it too.
+func RunBatch(n int, par bool, fn func(int)) {
 	if !par || n < 2 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -221,12 +221,31 @@ func RkNNT(x *index.Index, query []geo.Point, opts Options) ([]model.TransitionI
 // along partial routes (Section 6.2): masks OR together under route
 // concatenation exactly as Lemma 3 unions do.
 func EndpointMasks(x *index.Index, query []geo.Point, k int, method Method) (map[model.TransitionID]uint8, error) {
-	opts := Options{K: k, Method: method}
-	if err := opts.validate(query); err != nil {
+	out := make(map[model.TransitionID]uint8)
+	if err := EachEndpointMask(x, query, k, method, func(id model.TransitionID, m uint8) { out[id] |= m }); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// EachEndpointMask is EndpointMasks without the map: it hands fn the
+// endpoint masks of the matching transitions as the query finds them. On
+// the radius-plane path that is one call per matching endpoint, so a
+// transition whose two endpoints match arrives twice, once per bit: fn
+// ORs what it is handed. The planner's Precompute writes the masks
+// straight into its bitmaps this way.
+func EachEndpointMask(x *index.Index, query []geo.Point, k int, method Method, fn func(model.TransitionID, uint8)) error {
+	opts := Options{K: k, Method: method}
+	if err := opts.validate(query); err != nil {
+		return err
+	}
 	if planes := planesFor(x, opts); planes != nil {
-		return masksPlane(x, planes, query, opts), nil
+		hp := descend(x, planes, query, opts, &Stats{})
+		defer releaseHits(hp)
+		for _, h := range *hp {
+			fn(model.TransitionID(h>>1), 1<<uint(h&1))
+		}
+		return nil
 	}
 	stats := &Stats{}
 	var masks map[model.TransitionID]endpointMask
@@ -240,15 +259,14 @@ func EndpointMasks(x *index.Index, query []geo.Point, k int, method Method) (map
 	case BruteForce:
 		masks = bruteForceMasks(x, query, k, opts, stats)
 	default:
-		return nil, fmt.Errorf("core: unknown method %d", int(method))
+		return fmt.Errorf("core: unknown method %d", int(method))
 	}
-	out := make(map[model.TransitionID]uint8, len(masks))
 	for id, m := range masks {
 		if m != 0 {
-			out[id] = uint8(m)
+			fn(id, uint8(m))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // collect applies semantics and the temporal window, then sorts.

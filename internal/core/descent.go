@@ -174,15 +174,3 @@ func rknntPlane(x *index.Index, planes []*rtree.Plane, query []geo.Point, opts O
 	stats.Results = len(ids)
 	return ids
 }
-
-// masksPlane is rknntPlane for EndpointMasks: the raw per-transition
-// endpoint masks, no semantics applied.
-func masksPlane(x *index.Index, planes []*rtree.Plane, query []geo.Point, opts Options) map[model.TransitionID]uint8 {
-	hp := descend(x, planes, query, opts, &Stats{})
-	defer releaseHits(hp)
-	out := make(map[model.TransitionID]uint8, len(*hp))
-	for _, h := range *hp {
-		out[model.TransitionID(h>>1)] |= 1 << uint(h&1)
-	}
-	return out
-}

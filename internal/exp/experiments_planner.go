@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -56,6 +57,8 @@ func (s *Suite) Table5() (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: RkNNT pass grows with k; shortest-distance pass is k-independent",
+		fmt.Sprintf("RkNNT (s) is wall time of the per-vertex queries fanned over GOMAXPROCS=%d workers",
+			runtime.GOMAXPROCS(0)),
 		fmt.Sprintf("planner network: %d vertices, %d edges (paper: 14-17k vertices)",
 			w.City.Graph.NumVertices(), w.City.Graph.NumEdges()))
 	return t, nil
@@ -332,7 +335,7 @@ func routePassengers[T ~int32](s *Suite, stops []T) (int, error) {
 	}
 	seen := map[int32]uint8{}
 	for _, v := range stops {
-		for id, m := range pre.Masks[int32(v)] {
+		for id, m := range pre.VertexMasks(graph.VertexID(v)) {
 			seen[id] |= m
 		}
 	}

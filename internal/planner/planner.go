@@ -3,7 +3,6 @@ package planner
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -65,15 +64,6 @@ type Result struct {
 	Truncated bool
 }
 
-func resultFromMasks(p *Precomputed, path []graph.VertexID, dist float64, masks map[model.TransitionID]uint8) *Result {
-	ids := make([]model.TransitionID, 0, len(masks))
-	for id := range masks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return &Result{Path: path, Dist: dist, Transitions: ids, Count: len(ids)}
-}
-
 func resultFromBits(p *Precomputed, path []graph.VertexID, dist float64, m maskSet) *Result {
 	ids := p.ix.transitions(m)
 	return &Result{Path: path, Dist: dist, Transitions: ids, Count: len(ids)}
@@ -127,9 +117,9 @@ func (p *Precomputed) PrePlan(s, e graph.VertexID, tau float64, opts Options) (*
 	var best *Result
 	for _, cand := range cands {
 		masks := p.routeMasks(cand.Vertices)
-		n := countExists(masks)
+		n := masks.countExists()
 		if best == nil || better(opts.Objective, n, cand.Dist, best.Count, best.Dist) {
-			best = resultFromMasks(p, cand.Vertices, cand.Dist, masks)
+			best = resultFromBits(p, cand.Vertices, cand.Dist, masks)
 		}
 	}
 	return best, true
@@ -187,7 +177,9 @@ func (p *Precomputed) Plan(s, e graph.VertexID, tau float64, opts Options) (*Res
 	}
 
 	table := make(map[graph.VertexID][]*partial) // the dominance table DT
-	rootMasks := p.ix.vb[s].clone()
+	// The root shares s's bitmaps: the search writes only the new sets
+	// union allocates.
+	rootMasks := p.ix.vb[s]
 	root := &partial{
 		path:  []graph.VertexID{s},
 		dist:  0,
@@ -237,15 +229,14 @@ func (p *Precomputed) Plan(s, e graph.VertexID, tau float64, opts Options) (*Res
 			if nd+p.M[vj][e] > tau {
 				continue
 			}
-			masks := cur.masks.clone()
-			masks.orInPlace(p.ix.vb[vj])
+			masks, ex, fa := cur.masks.union(p.ix.vb[vj])
 			cand := &partial{
 				path:  appendPath(cur.path, vj),
 				dist:  nd,
 				prio:  nd + p.M[vj][e],
 				masks: masks,
-				ex:    masks.countExists(),
-				fa:    masks.countForAll(),
+				ex:    ex,
+				fa:    fa,
 				alive: true,
 			}
 			// checkDominance against the table at vj.
@@ -262,7 +253,7 @@ func (p *Precomputed) Plan(s, e graph.VertexID, tau float64, opts Options) (*Res
 		// which reachability guaranteed to be within tau.
 		if truncated {
 			if sp, dist, ok := p.G.ShortestPath(s, e); ok && dist <= tau {
-				best = resultFromMasks(p, sp, dist, p.routeMasks(sp))
+				best = resultFromBits(p, sp, dist, p.routeMasks(sp))
 				best.Truncated = true
 				return best, true, nil
 			}

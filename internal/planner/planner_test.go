@@ -1,15 +1,19 @@
 package planner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/geo"
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/model"
 )
 
 // smallCity builds a compact synthetic city whose graph is small enough
@@ -62,34 +66,110 @@ func TestPrecomputeTimings(t *testing.T) {
 	if pre.RkNNTTime <= 0 || pre.ShortestTime <= 0 {
 		t.Error("precomputation timings not recorded")
 	}
-	if len(pre.Masks) != c.Graph.NumVertices() {
-		t.Errorf("masks for %d vertices, want %d", len(pre.Masks), c.Graph.NumVertices())
+	if len(pre.ix.vb) != c.Graph.NumVertices() {
+		t.Errorf("masks for %d vertices, want %d", len(pre.ix.vb), c.Graph.NumVertices())
 	}
 	if len(pre.M) != c.Graph.NumVertices() {
 		t.Errorf("Mψ has %d rows", len(pre.M))
 	}
 }
 
-// Per-vertex precomputed masks must equal a direct single-point RkNNT.
+// sameMasks fails the test unless got and want hold the same transitions
+// with the same endpoint masks.
+func sameMasks(t *testing.T, label string, got, want map[model.TransitionID]uint8) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d masks, want %d", label, len(got), len(want))
+	}
+	for id, m := range want {
+		if got[id] != m {
+			t.Fatalf("%s transition %d: mask %d, want %d", label, id, got[id], m)
+		}
+	}
+}
+
+// Per-vertex precomputed masks must equal a direct single-point RkNNT at
+// every vertex, whether the per-vertex queries ran the pipeline or
+// descended a radius plane at k.
 func TestPrecomputeMatchesDirectQuery(t *testing.T) {
 	c, x := smallCity(t, 3)
 	k := 3
-	pre := precompute(t, c, x, k)
-	for v := 0; v < c.Graph.NumVertices(); v += 7 {
-		want, err := core.EndpointMasks(x, []geo.Point{c.Graph.Point(graph.VertexID(v))}, k, core.BruteForce)
+	for _, plane := range []bool{false, true} {
+		if plane && !x.EnsureRadii(k) {
+			t.Fatal("radius plane build abandoned")
+		}
+		pre := precompute(t, c, x, k)
+		for v := 0; v < c.Graph.NumVertices(); v++ {
+			want, err := core.EndpointMasks(x, []geo.Point{c.Graph.Point(graph.VertexID(v))}, k, core.BruteForce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMasks(t, fmt.Sprintf("plane=%v vertex %d", plane, v), pre.VertexMasks(graph.VertexID(v)), want)
+		}
+	}
+}
+
+// Refresh after writes — transition adds and removes, a route added and
+// one removed — must equal a from-scratch Precompute over the same index,
+// bit for bit, and share the network's Mψ instead of recomputing it.
+func TestRefreshMatchesPrecompute(t *testing.T) {
+	c, x := smallCity(t, 4)
+	k := 3
+	rng := rand.New(rand.NewSource(105))
+	g := c.Graph
+	first := precompute(t, c, x, k)
+	cur := first
+	check := func(label string) {
+		t.Helper()
+		got, err := cur.Refresh(x, core.Voronoi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := pre.Masks[v]
-		if len(got) != len(want) {
-			t.Fatalf("vertex %d: %d masks, want %d", v, len(got), len(want))
+		want := precompute(t, c, x, k)
+		if !reflect.DeepEqual(got.ix.ids, want.ix.ids) {
+			t.Fatalf("%s: %d indexed transitions, from scratch %d", label, len(got.ix.ids), len(want.ix.ids))
 		}
-		for id, m := range want {
-			if got[id] != m {
-				t.Fatalf("vertex %d transition %d: mask %d, want %d", v, id, got[id], m)
+		for v := range want.ix.vb {
+			if !reflect.DeepEqual(got.ix.vb[v], want.ix.vb[v]) {
+				t.Fatalf("%s: vertex %d bitmaps differ from a from-scratch Precompute", label, v)
 			}
 		}
+		if &got.M[0] != &first.M[0] || got.G != g || got.K != k {
+			t.Fatalf("%s: Refresh did not share the network, k and Mψ", label)
+		}
+		if got.ShortestTime != 0 {
+			t.Fatalf("%s: Refresh reports %v of shortest-distance time", label, got.ShortestTime)
+		}
+		cur = got
 	}
+	vertexPt := func() geo.Point { return g.Point(graph.VertexID(rng.Intn(g.NumVertices()))) }
+	for i := 0; i < 20; i++ {
+		tr := model.Transition{ID: model.TransitionID(100_000 + i), O: vertexPt(), D: vertexPt()}
+		if err := x.AddTransition(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after adds")
+	for i := 0; i < len(c.Dataset.Transitions); i += 9 {
+		if !x.RemoveTransition(c.Dataset.Transitions[i].ID) {
+			t.Fatalf("transition %d was not live", c.Dataset.Transitions[i].ID)
+		}
+	}
+	check("after removes")
+	stops := []graph.VertexID{0, graph.VertexID(g.NumVertices() / 2), graph.VertexID(g.NumVertices() - 1)}
+	route := model.Route{ID: 9_000}
+	for _, v := range stops {
+		route.Stops = append(route.Stops, model.StopID(v))
+		route.Pts = append(route.Pts, g.Point(v))
+	}
+	if err := x.AddRoute(route); err != nil {
+		t.Fatal(err)
+	}
+	check("after AddRoute")
+	if !x.RemoveRoute(c.Dataset.Routes[0].ID) {
+		t.Fatal("route was not live")
+	}
+	check("after RemoveRoute")
 }
 
 // The three planning algorithms must agree on the optimal passenger count
@@ -281,7 +361,7 @@ func TestPlanBeatsShortestRoute(t *testing.T) {
 			continue
 		}
 		tau := sd * 1.5
-		shortCount := countExists(pre.routeMasks(sp))
+		shortCount := pre.routeMasks(sp).countExists()
 		maxR, okM, err := pre.Plan(s, e, tau, Options{Objective: Maximize})
 		if err != nil || !okM {
 			t.Fatal(err)
@@ -315,20 +395,13 @@ func TestRouteMasksMatchWholeQuery(t *testing.T) {
 		if !ok2 {
 			continue
 		}
-		got := pre.routeMasks(path)
+		got := pre.ix.masks(pre.routeMasks(path))
 		query := verticesToPoints(c.Graph, path)
 		want, err := core.EndpointMasks(x, query, k, core.BruteForce)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d masks, want %d", trial, len(got), len(want))
-		}
-		for id, m := range want {
-			if got[id] != m {
-				t.Fatalf("trial %d transition %d: %d vs %d", trial, id, got[id], m)
-			}
-		}
+		sameMasks(t, fmt.Sprintf("trial %d", trial), got, want)
 	}
 }
 
@@ -417,5 +490,53 @@ func TestPlannersAgreeRandomized(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkPrecompute times Algorithm 5 on the compact city of the
+// plan_fresh benchmark workload (gen seed 4004, 20 x 20, 60 routes, 10 000
+// transitions) at k = 10 with DivideConquer: once with the per-vertex
+// queries on the filter–refine pipeline, once descending a radius plane
+// at k. rknnt_ms/op and shortest_ms/op split the time between the two
+// steps.
+func BenchmarkPrecompute(b *testing.B) {
+	c, err := gen.Generate(gen.Config{
+		Seed:  4004,
+		Width: 20, Height: 20,
+		GridStep:       2.0,
+		Jitter:         0.25,
+		NumRoutes:      60,
+		RouteMinStops:  4,
+		RouteMaxStops:  10,
+		NumTransitions: 10000,
+		HotspotCount:   15,
+		HotspotSigma:   1.5,
+		BackgroundFrac: 0.15,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, err := index.Build(c.Dataset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const k = 10
+	for _, name := range []string{"pipeline", "plane"} {
+		if name == "plane" && !x.EnsureRadii(k) {
+			b.Fatal("radius plane build abandoned")
+		}
+		b.Run(name, func(b *testing.B) {
+			var rknnt, shortest time.Duration
+			for b.Loop() {
+				pre, err := Precompute(x, c.Graph, k, core.DivideConquer)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rknnt += pre.RkNNTTime
+				shortest += pre.ShortestTime
+			}
+			b.ReportMetric(float64(rknnt.Milliseconds())/float64(b.N), "rknnt_ms/op")
+			b.ReportMetric(float64(shortest.Milliseconds())/float64(b.N), "shortest_ms/op")
+		})
 	}
 }

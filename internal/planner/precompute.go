@@ -17,7 +17,6 @@ package planner
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -28,112 +27,99 @@ import (
 )
 
 // Precomputed holds the per-vertex RkNNT endpoint masks and the all-pairs
-// shortest distance matrix Mψ of Algorithm 5, for one fixed k.
+// shortest distance matrix Mψ of Algorithm 5, for one fixed k. The masks
+// exist only as bitmaps (see maskset.go); VertexMasks reads one back as a
+// map.
 type Precomputed struct {
 	G *graph.Graph
 	K int
 
-	// Masks[v] maps transition ID to its endpoint mask for the
-	// single-point query at vertex v (bit 0 = origin, bit 1 = dest).
-	Masks []map[model.TransitionID]uint8
-
-	// M is the all-pairs shortest distance matrix Mψ.
+	// M is the all-pairs shortest distance matrix Mψ. It depends on the
+	// network alone, so Refresh shares it.
 	M [][]float64
 
-	// ix is the dense transition index backing the bitmap mask sets the
-	// search operates on (see maskset.go).
+	// ix holds the per-vertex endpoint masks as bitmaps over a dense
+	// index of the transitions live when they were computed.
 	ix maskIndex
 
 	// Timings of the two precomputation steps, reported in Table 5.
+	// RkNNTTime is wall time over GOMAXPROCS workers; ShortestTime is 0
+	// after a Refresh, which computes no distances.
 	RkNNTTime    time.Duration
 	ShortestTime time.Duration
 }
 
-// Precompute runs Algorithm 5: an RkNNT query for every vertex of the
-// graph plus the all-pairs shortest distance matrix. The method selects
-// the RkNNT strategy (the paper uses the full framework; Voronoi is the
-// sensible default).
+// Precompute runs Algorithm 5: the all-pairs shortest distance matrix plus
+// an RkNNT query for every vertex of the graph. The method selects the
+// RkNNT strategy (the paper uses the full framework; Voronoi is the
+// sensible default). The index must not change during the call.
 func Precompute(x *index.Index, g *graph.Graph, k int, method core.Method) (*Precomputed, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("planner: k must be >= 1, got %d", k)
 	}
-	n := g.NumVertices()
-	p := &Precomputed{G: g, K: k, Masks: make([]map[model.TransitionID]uint8, n)}
-
 	start := time.Now()
-	for v := 0; v < n; v++ {
-		masks, err := core.EndpointMasks(x, []geo.Point{g.Point(graph.VertexID(v))}, k, method)
-		if err != nil {
-			return nil, fmt.Errorf("planner: vertex %d: %w", v, err)
-		}
-		p.Masks[v] = masks
+	m := g.AllPairs()
+	shortest := time.Since(start)
+	p, err := computeMasks(x, g, k, m, method)
+	if err != nil {
+		return nil, err
 	}
-	p.RkNNTTime = time.Since(start)
-
-	start = time.Now()
-	p.M = g.AllPairs()
-	p.ShortestTime = time.Since(start)
-
-	p.buildMaskIndex()
+	p.ShortestTime = shortest
 	return p, nil
 }
 
-// buildMaskIndex converts the per-vertex mask maps into dense bitmaps.
-func (p *Precomputed) buildMaskIndex() {
-	seen := make(map[model.TransitionID]struct{})
-	for _, m := range p.Masks {
-		for id := range m {
-			seen[id] = struct{}{}
+// Refresh recomputes the per-vertex masks against x — typically the same
+// index after writes — and returns them as a new Precomputed sharing p's
+// network, k and Mψ. p itself is left as it was, so plans still running
+// on it are unaffected. The index must not change during the call.
+func (p *Precomputed) Refresh(x *index.Index, method core.Method) (*Precomputed, error) {
+	return computeMasks(x, p.G, p.K, p.M, method)
+}
+
+// computeMasks is the per-vertex step of Algorithm 5: one single-point
+// RkNNT per vertex, fanned over GOMAXPROCS workers, each writing its
+// vertex's masks straight into that vertex's bitmaps — no per-vertex map
+// is built. A transition the dense index lacks is an error: its bit would
+// stand for another transition. The first error, at the lowest vertex,
+// fails the call.
+func computeMasks(x *index.Index, g *graph.Graph, k int, m [][]float64, method core.Method) (*Precomputed, error) {
+	start := time.Now()
+	n := g.NumVertices()
+	ix, pos := newMaskIndex(x, n)
+	errs := make([]error, n)
+	core.RunBatch(n, true, func(v int) {
+		err := core.EachEndpointMask(x, []geo.Point{g.Point(graph.VertexID(v))}, k, method, func(id model.TransitionID, mask uint8) {
+			if i, ok := pos[id]; ok {
+				ix.vb[v].set(i, mask)
+			} else if errs[v] == nil {
+				errs[v] = fmt.Errorf("transition %d is not in the index", id)
+			}
+		})
+		if err != nil {
+			errs[v] = err
+		}
+	})
+	for v, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("planner: vertex %d: %w", v, err)
 		}
 	}
-	ids := make([]model.TransitionID, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	p.ix.ids = ids
-	p.ix.pos = make(map[model.TransitionID]int, len(ids))
-	for i, id := range ids {
-		p.ix.pos[id] = i
-	}
-	p.ix.vb = make([]maskSet, len(p.Masks))
-	for v, m := range p.Masks {
-		b := p.ix.newSet()
-		for id, mask := range m {
-			i := p.ix.pos[id]
-			if mask&1 != 0 {
-				b.o[i/64] |= 1 << uint(i%64)
-			}
-			if mask&2 != 0 {
-				b.d[i/64] |= 1 << uint(i%64)
-			}
-		}
-		p.ix.vb[v] = b
-	}
+	return &Precomputed{G: g, K: k, M: m, ix: ix, RkNNTTime: time.Since(start)}, nil
+}
+
+// VertexMasks returns vertex v's endpoint masks: transition ID to mask
+// (bit 0 = origin, bit 1 = destination), for the single-point query at v.
+// It is derived from the bitmaps on every call.
+func (p *Precomputed) VertexMasks(v graph.VertexID) map[model.TransitionID]uint8 {
+	return p.ix.masks(p.ix.vb[v])
 }
 
 // routeMasks unions the per-vertex endpoint masks along a vertex path,
 // which by Lemma 3 yields exactly the endpoint masks of the whole route.
-func (p *Precomputed) routeMasks(path []graph.VertexID) map[model.TransitionID]uint8 {
-	out := make(map[model.TransitionID]uint8)
+func (p *Precomputed) routeMasks(path []graph.VertexID) maskSet {
+	out := p.ix.newSet()
 	for _, v := range path {
-		for id, m := range p.Masks[v] {
-			out[id] |= m
-		}
+		out.orInPlace(p.ix.vb[v])
 	}
 	return out
-}
-
-// countExists returns |∃RkNNT| for a mask set.
-func countExists(masks map[model.TransitionID]uint8) int { return len(masks) }
-
-// countForAll returns |∀RkNNT| for a mask set.
-func countForAll(masks map[model.TransitionID]uint8) int {
-	n := 0
-	for _, m := range masks {
-		if m == 3 {
-			n++
-		}
-	}
-	return n
 }

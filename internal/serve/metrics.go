@@ -235,7 +235,7 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 		}
 		return 0
 	})
-	reg.GaugeFunc("rknnt_radius_plane_k", "The k that owns the radius plane (the k most executed requests used over the last admission window; a single miss, or a batch that executed a miss, counts one), 0 when there is none.", func() float64 {
+	reg.GaugeFunc("rknnt_radius_plane_k", "The k that owns the radius plane (the k most executed requests used over the last admission window; a single miss, a batch that executed a miss, or a plan precompute counts one), 0 when there is none.", func() float64 {
 		return float64(e.idx.RadiusK())
 	})
 	reg.GaugeFunc("rknnt_standing_queries", "Registered standing queries.", func() float64 {

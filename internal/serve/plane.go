@@ -25,14 +25,16 @@ import (
 //     and only by out-counting the incumbent two to one over that window.
 //     A plane whose k lost to traffic beyond maxPlaneK is dropped;
 //   - a request counts once: a single query that missed the cache
-//     (Engine.RkNNT), and a batch request that executed at least one miss
-//     (Engine.RkNNTBatch), however many members it carries — counting
-//     members would let one request take or move the plane. A plan's
-//     precompute does not count: it runs once per write a plan follows,
-//     over a query per network vertex at the planner's own k, and no
-//     measurement yet says planning traffic should move the plane. It
-//     descends a plane that other traffic has earned (EndpointMasks) and
-//     runs the pipeline otherwise;
+//     (Engine.RkNNT), a batch request that executed at least one miss
+//     (Engine.RkNNTBatch), however many members it carries, and a plan
+//     precompute that ran (Engine.precomputed), however many network
+//     vertices it queried — counting members or vertices would let one
+//     request take or move the plane. A plan served from a current
+//     precompute, or one that waited on another request's precompute,
+//     executed nothing and does not count. A precompute runs once per
+//     write a plan follows, so 16 write-then-plan cycles earn the
+//     planner's k the plane; from then on each precompute is one descent
+//     per vertex (EndpointMasks);
 //   - no request builds a plane. The query that tips the count — like
 //     every query at a k without a plane — runs the paper's pipeline and
 //     returns; a background goroutine builds, and queries switch to the
@@ -52,7 +54,8 @@ const (
 )
 
 // planeAdmission counts executed plane-eligible requests (a single miss,
-// or a batch that executed a miss) per k over the current window. Slot 0
+// a batch that executed a miss, or a plan precompute) per k over the
+// current window. Slot 0
 // stands for every k beyond maxPlaneK.
 type planeAdmission struct {
 	mu       sync.Mutex
@@ -68,8 +71,8 @@ type planeAdmission struct {
 }
 
 // notePlaneDemand records that one request with these options executed
-// (was not served from the cache) — a single query, or a batch of them —
-// and starts a background build when the counts now say the plane belongs
+// (was not served from the cache) — a single query, a batch of them, or
+// a plan's precompute — and starts a background build when the counts now say the plane belongs
 // to another k. Called after the request has been answered, outside every
 // engine lock.
 func (e *Engine) notePlaneDemand(opts core.Options) {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/model"
+	"repro/internal/planner"
 )
 
 // bruteForce answers q by definition over the engine's current index.
@@ -449,46 +452,131 @@ func TestRadiusPlaneOtherKFallsBack(t *testing.T) {
 	}
 }
 
-// TestPrecomputeUsesPlane: a plan's precompute does not earn its k the
-// plane (one request carries a query per vertex), descends the plane
-// once single queries have earned it, and the per-vertex RkNNT sets are
-// the brute force's either way.
+// flightCallers counts the goroutines inside flightGroup.Do: the one
+// running the call and those waiting for its result.
+func flightCallers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*flightGroup).Do(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestPrecomputeUsesPlane: plan precomputes earn the planner's k the
+// plane like single queries do — one count per precompute executed. A
+// plan served from a current precompute, the callers that waited on
+// another request's precompute, and BruteForce precomputes do not count;
+// neither do the network vertices a precompute queries. Fifteen
+// precomputes, each after a write, start no build; the sixteenth does,
+// and the next precompute descends the plane. The per-vertex RkNNT sets
+// are the brute force's on either path.
 func TestPrecomputeUsesPlane(t *testing.T) {
 	city, x := smallCity(t)
 	e := New(x, Options{Network: city.Graph})
 	defer e.Close()
-	check := func(label string) {
+	const k = 3
+	n := city.Graph.NumVertices()
+	next := model.TransitionID(70_000)
+	write := func() {
 		t.Helper()
-		pre, err := e.precomputed(3, core.DivideConquer)
+		next++
+		tr := model.Transition{ID: next, O: city.Graph.Point(int32(next) % int32(n)), D: city.Graph.Point(int32(next/3) % int32(n))}
+		if err := e.AddTransition(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	precompute := func(method core.Method) *planner.Precomputed {
+		t.Helper()
+		pre, err := e.precomputed(k, method)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v, got := range pre.Masks {
-			want, err := core.EndpointMasks(e.idx, []geo.Point{city.Graph.Point(int32(v))}, 3, core.BruteForce)
+		return pre
+	}
+	counted := func(label string, want uint32) {
+		t.Helper()
+		e.planeAdm.mu.Lock()
+		got, building := e.planeAdm.counts[k], e.planeAdm.building
+		e.planeAdm.mu.Unlock()
+		if got != want || building || e.idx.RadiusK() != 0 {
+			t.Fatalf("%s: %d counts at k=%d, want %d (building=%v, plane k=%d)", label, got, k, want, building, e.idx.RadiusK())
+		}
+	}
+	check := func(label string, pre *planner.Precomputed) {
+		t.Helper()
+		e.rlockAll()
+		defer e.runlockAll()
+		for v := 0; v < n; v++ {
+			want, err := core.EndpointMasks(e.idx, []geo.Point{city.Graph.Point(int32(v))}, k, core.BruteForce)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			if got := pre.VertexMasks(int32(v)); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, vertex %d: masks %v, brute force %v", label, v, got, want)
 			}
 		}
 	}
-	check("pipeline")
-	e.planeAdm.mu.Lock()
-	building := e.planeAdm.building
-	e.planeAdm.mu.Unlock()
-	if building || e.idx.RadiusK() != 0 {
-		t.Fatalf("a precompute started a plane build (building=%v, plane k=%d)", building, e.idx.RadiusK())
+
+	for i := 0; i < 2*planeAdmitAfter; i++ {
+		write()
+		precompute(core.BruteForce)
 	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < planeAdmitAfter; i++ {
-		ask(t, e, rng, core.Options{K: 3})
+	counted("after BruteForce precomputes", 0)
+
+	write()
+	pre := precompute(core.DivideConquer)
+	check("pipeline", pre)
+	counted("after one precompute", 1)
+	for i := 0; i < 3; i++ {
+		if precompute(core.DivideConquer) != pre {
+			t.Fatal("a current precompute was not served from the cache")
+		}
 	}
-	waitPlane(t, e, 3)
-	if err := e.AddTransition(model.Transition{ID: 70_000, O: city.Graph.Point(0), D: city.Graph.Point(5)}); err != nil {
-		t.Fatal(err)
+	counted("after re-serving a current precompute", 1)
+
+	// Eight identical precomputes in flight at once: the writer lock holds
+	// the one that runs until all eight have joined the flight.
+	write()
+	const callers = 8
+	got := make([]*planner.Precomputed, callers)
+	var wg sync.WaitGroup
+	e.structMu.Lock()
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pre, err := e.precomputed(k, core.DivideConquer)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = pre
+		}(i)
 	}
-	check("plane") // the write staled the entry: this one recomputes, by descent
+	for flightCallers() < callers {
+		time.Sleep(100 * time.Microsecond)
+	}
+	e.structMu.Unlock()
+	wg.Wait()
+	for _, p := range got {
+		if p != got[0] {
+			t.Fatal("concurrent identical precomputes did not share one")
+		}
+	}
+	counted("after eight concurrent identical precomputes", 2)
+
+	for i := 3; i < planeAdmitAfter; i++ {
+		write()
+		precompute(core.DivideConquer)
+		counted(fmt.Sprintf("after %d precomputes", i), uint32(i))
+	}
+	write()
+	precompute(core.DivideConquer)
+	waitPlane(t, e, k)
+	write()
+	check("plane", precompute(core.DivideConquer)) // staled by the write: recomputed by descent
 	if builds := e.mx.planeBuild.Snapshot().Count; builds != 1 {
 		t.Fatalf("%d plane builds, want 1", builds)
 	}

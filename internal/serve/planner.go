@@ -27,8 +27,8 @@ var ErrNoNetwork = fmt.Errorf("serve: no network attached (Options.Network)")
 
 // Plan answers a MaxRkNNT/MinRkNNT planning query between two stops.
 // The expensive precomputation (Algorithm 5) is cached per (k, method)
-// and invalidated when the index epoch moves, so repeated planning
-// against a quiet index pays it once.
+// and refreshed on the first plan after the index epoch moves, so
+// repeated planning against a quiet index pays it once.
 func (e *Engine) Plan(srcStop, dstStop model.StopID, tau float64, k int, method core.Method, opts planner.Options) (*planner.Result, bool, error) {
 	if e.opts.Network == nil {
 		return nil, false, ErrNoNetwork
@@ -65,8 +65,11 @@ func (e *Engine) PlanVertices(s, t graph.VertexID, tau float64, k int, method co
 }
 
 // precomputed returns a planner precomputation that is current for the
-// engine's epoch, computing (or recomputing) it if needed. Identical
-// concurrent requests share one computation via the flight group.
+// engine's epoch, computing it if needed: a stale entry at the same key
+// is refreshed (its masks recomputed, Mψ kept), and only a key with no
+// entry pays the all-pairs distances too. Identical concurrent requests
+// share one computation via the flight group. Each computation executed
+// counts once towards the radius plane at k, like one executed query.
 func (e *Engine) precomputed(k int, method core.Method) (*planner.Precomputed, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("serve: k must be >= 1, got %d", k)
@@ -80,6 +83,9 @@ func (e *Engine) precomputed(k int, method core.Method) (*planner.Precomputed, e
 	e.planMu.Unlock()
 
 	v, err, _ := e.flight.Do(e.planFlightKey(k, method), func() (any, error) {
+		e.planMu.Lock()
+		stale := e.plans[key]
+		e.planMu.Unlock()
 		// The vector is re-read under the read locks (which hold every
 		// writer out, making it exact), so the entry is labelled with
 		// the vector of the snapshot actually precomputed over — not a
@@ -88,7 +94,13 @@ func (e *Engine) precomputed(k int, method core.Method) (*planner.Precomputed, e
 		pre, cur, err := func() (*planner.Precomputed, EpochVec, error) {
 			e.rlockAll()
 			defer e.runlockAll()
-			pre, err := planner.Precompute(e.idx, e.opts.Network, k, method)
+			var pre *planner.Precomputed
+			var err error
+			if stale != nil {
+				pre, err = stale.pre.Refresh(e.idx, method)
+			} else {
+				pre, err = planner.Precompute(e.idx, e.opts.Network, k, method)
+			}
 			return pre, e.epochVecQuiescent(), err
 		}()
 		if err != nil {
@@ -97,6 +109,7 @@ func (e *Engine) precomputed(k int, method core.Method) (*planner.Precomputed, e
 		e.planMu.Lock()
 		e.storePlanLocked(key, &plannerEntry{epochs: cur, pre: pre})
 		e.planMu.Unlock()
+		e.notePlaneDemand(core.Options{K: k, Method: method})
 		return pre, nil
 	})
 	if err != nil {

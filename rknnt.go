@@ -219,6 +219,7 @@ func (p *Planner) PlanEnumerated(s, e VertexID, tau float64, opts PlanOptions) (
 
 // PrecomputeTimes reports the durations of the two precomputation steps
 // (per-vertex RkNNT queries, all-pairs shortest distances) as in Table 5.
+// The per-vertex queries run on GOMAXPROCS workers; theirs is wall time.
 func (p *Planner) PrecomputeTimes() (rknntTime, shortestTime int64) {
 	return int64(p.pre.RkNNTTime), int64(p.pre.ShortestTime)
 }
